@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .encoder import GraphEncoderConfig, ParamStore, encode_graph, encode_graph_tensor
+from .encoder import GraphEncoderConfig, ParamStore, encode_batch, encode_graph, pad_batch
 from .errors import ValidationError
 from .graphs import (
     SamplerConfig,
@@ -75,16 +75,18 @@ def build_label_prompts(
 def load_label_prompt_asset(path, text_encoder) -> LabelPromptSet:
     """Label asset file: {"template": ..., "classes": [{"id", "name",
     "description"}, ...]} with ids 0..C-1."""
-    spec = json.loads(Path(path).read_text(encoding="utf-8"))
-    classes = sorted(spec["classes"], key=lambda c: c["id"])
+    try:
+        spec = json.loads(Path(path).read_text(encoding="utf-8"))
+        template = spec["template"]
+        classes = sorted(spec["classes"], key=lambda c: c["id"])
+        names = [c["name"] for c in classes]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValidationError(
+            f"malformed label asset {path}: {type(exc).__name__}: {exc}") from exc
     if [c["id"] for c in classes] != list(range(len(classes))):
         raise ValidationError("class ids must be 0..C-1 with no gaps")
     return build_label_prompts(
-        [c["name"] for c in classes],
-        [c.get("description", "") for c in classes],
-        spec["template"],
-        text_encoder,
-    )
+        names, [c.get("description", "") for c in classes], template, text_encoder)
 
 
 def save_label_prompt_asset(path, template: str, class_names, descriptions) -> None:
@@ -191,7 +193,6 @@ def evaluate_node_classification(
     """
     if graph.labels is None or graph.class_names is None:
         raise ValidationError("target graph needs labels and class names")
-    mapping = prompt_index_map(graph, labels)
     labeled = np.array([i for i in range(graph.num_nodes) if graph.labels[i] >= 0])
     if labeled.size == 0:
         raise ValidationError("graph has no labeled nodes")
@@ -202,15 +203,24 @@ def evaluate_node_classification(
         rng = np.random.default_rng(seed)
         num_test = max(1, int(round(test_fraction * labeled.size)))
         test_nodes = rng.choice(labeled, size=num_test, replace=False)
-        run_cfg = _node_sampler_cfg(sampler_cfg, seed)
-        correct = 0
-        for node in test_nodes:
-            emb = encode_node(store, config, graph, int(node), run_cfg,
-                              feature_offset=feature_offset)
-            predicted, _ = zero_shot_classify(emb, labels)
-            correct += int(predicted == int(mapping[graph.labels[node]]))
-        result.runs.append(EvalRun(seed=seed, value=correct / num_test))
+        result.runs.append(EvalRun(seed=seed, value=_accuracy(
+            store, config, graph, labels, sampler_cfg, test_nodes, seed,
+            feature_offset)))
     return result
+
+
+def _accuracy(store, config, graph, labels, sampler_cfg, node_ids, run_seed,
+              feature_offset=None) -> float:
+    """Share of ``node_ids`` whose zero-shot prediction matches their label."""
+    mapping = prompt_index_map(graph, labels)
+    run_cfg = _node_sampler_cfg(sampler_cfg, run_seed)
+    correct = 0
+    for node in node_ids:
+        emb = encode_node(store, config, graph, int(node), run_cfg,
+                          feature_offset=feature_offset)
+        predicted, _ = zero_shot_classify(emb, labels)
+        correct += int(predicted == int(mapping[graph.labels[node]]))
+    return correct / len(node_ids)
 
 
 def link_score(h_i, h_j) -> float:
@@ -376,19 +386,6 @@ class PromptTuneResult:
         return self.tower_checksum_before == self.tower_checksum_after
 
 
-def _split_accuracy(store, config, graph, labels, sampler_cfg, node_ids,
-                    run_seed, feature_offset=None) -> float:
-    mapping = prompt_index_map(graph, labels)
-    run_cfg = _node_sampler_cfg(sampler_cfg, run_seed)
-    correct = 0
-    for node in node_ids:
-        emb = encode_node(store, config, graph, int(node), run_cfg,
-                          feature_offset=feature_offset)
-        predicted, _ = zero_shot_classify(emb, labels)
-        correct += int(predicted == int(mapping[graph.labels[node]]))
-    return correct / len(node_ids)
-
-
 def prompt_tune(
     store: ParamStore,
     config: GraphEncoderConfig,
@@ -427,14 +424,12 @@ def prompt_tune(
         # Fresh subgraph draws per epoch keep sigma from overfitting one
         # sample of each shot's neighborhood.
         epoch_cfg = _node_sampler_cfg(sampler_cfg, split.seed * 1009 + epoch)
-        rows = []
-        for node in split.train_ids:
-            sub = with_positional_encodings(
-                rwr_sample(graph, node, epoch_cfg), config.positional_dim)
-            x = ad.add(Tensor(sub.features), sigma)
-            out, _ = encode_graph_tensor(store, config, sub, x_input=x)
-            rows.append(out)
-        z = ad.concat(rows, axis=0)
+        batch = pad_batch(config, [
+            with_positional_encodings(rwr_sample(graph, node, epoch_cfg),
+                                      config.positional_dim)
+            for node in split.train_ids])
+        # sigma also lands on padded slots, which the encoder ignores.
+        z, _ = encode_batch(store, config, batch, ad.add(Tensor(batch.features), sigma))
         loss = supervised_contrastive_loss_tensor(
             z, train_labels, labels.embeddings, temperature)
         sigma.zero_grad()
@@ -444,11 +439,10 @@ def prompt_tune(
         losses.append(loss.item())
 
     store.zero_grads()
-    zero_acc = _split_accuracy(store, config, graph, labels, sampler_cfg,
-                               split.test_ids, split.seed)
-    tuned_acc = _split_accuracy(store, config, graph, labels, sampler_cfg,
-                                split.test_ids, split.seed,
-                                feature_offset=sigma.data)
+    zero_acc = _accuracy(store, config, graph, labels, sampler_cfg,
+                         split.test_ids, split.seed)
+    tuned_acc = _accuracy(store, config, graph, labels, sampler_cfg,
+                          split.test_ids, split.seed, feature_offset=sigma.data)
 
     checksum_after = store.checksum()
     if text_encoder is not None:

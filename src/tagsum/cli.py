@@ -161,7 +161,12 @@ def _apply_dotted(config: dict, dotted: str, raw_value: str) -> None:
 def load_config(config_path: str | None, overrides: list[tuple[str, str]]) -> dict:
     config = copy.deepcopy(DEFAULT_CONFIG)
     if config_path:
-        file_cfg = json.loads(Path(config_path).read_text(encoding="utf-8"))
+        try:
+            file_cfg = json.loads(Path(config_path).read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise ValidationError(f"config file {config_path}: {exc}") from exc
+        if not isinstance(file_cfg, dict):
+            raise ValidationError(f"config file {config_path}: expected a JSON object")
         config = _merge(config, file_cfg)
     for dotted, value in overrides:
         _apply_dotted(config, dotted, value)

@@ -6,7 +6,8 @@ and a global multi-head self-attention branch over all subgraph nodes —
 then layer-normalizes and applies a 2x-width feed-forward block with a
 second normalization. Node states are mean-pooled, projected to the text
 dimension, and L2-normalized, so graph and summary embeddings live on the
-same unit sphere.
+same unit sphere. A minibatch is encoded on one tape as a zero-padded,
+masked batch; a single subgraph is a batch of one.
 
 Positional encodings are concatenated to the node features at the input
 projection. Parameters live in a ``ParamStore`` of named float64 tensors,
@@ -181,16 +182,10 @@ class ParamStore:
         return digest.hexdigest()
 
 
-def _neighbor_mean_matrix(sub: EgoSubgraph) -> np.ndarray:
-    a = sub.adjacency_matrix()
-    deg = a.sum(axis=1, keepdims=True)
-    return np.where(deg > 0, a / np.where(deg > 0, deg, 1.0), 0.0)
-
-
-def _check_inputs(config: GraphEncoderConfig, sub: EgoSubgraph, x_data: np.ndarray):
-    if x_data.shape[1] != config.text_dim:
+def _check_inputs(config: GraphEncoderConfig, sub: EgoSubgraph):
+    if sub.features.shape[1] != config.text_dim:
         raise ShapeError(
-            f"subgraph features: expected (n, {config.text_dim}), got {x_data.shape}"
+            f"subgraph features: expected (n, {config.text_dim}), got {sub.features.shape}"
         )
     if sub.positional is None:
         raise ShapeError("subgraph has no positional encodings attached")
@@ -201,26 +196,65 @@ def _check_inputs(config: GraphEncoderConfig, sub: EgoSubgraph, x_data: np.ndarr
         )
 
 
-def encode_graph_tensor(
+@dataclass(frozen=True)
+class PaddedBatch:
+    """B subgraphs zero-padded to ``n_max`` node slots; slot ``i`` of
+    subgraph ``b`` holds a real node when ``i < sizes[b]``."""
+
+    features: np.ndarray       # (B, n_max, text_dim)
+    positional: np.ndarray     # (B, n_max, positional_dim)
+    neighbor_mean: np.ndarray  # (B, n_max, n_max), degree-normalized adjacency
+    sizes: np.ndarray          # (B,)
+
+
+def pad_batch(config: GraphEncoderConfig, subgraphs: list[EgoSubgraph]) -> PaddedBatch:
+    """Stack subgraphs into one zero-padded batch."""
+    sizes = np.array([sub.num_nodes for sub in subgraphs])
+    b, n = len(subgraphs), int(sizes.max())
+    features = np.zeros((b, n, config.text_dim))
+    positional = np.zeros((b, n, config.positional_dim))
+    adjacency = np.zeros((b, n, n))
+    for i, sub in enumerate(subgraphs):
+        _check_inputs(config, sub)
+        k = sub.num_nodes
+        features[i, :k], positional[i, :k] = sub.features, sub.positional
+        adjacency[i, :k, :k] = sub.adjacency_matrix()
+    degree = adjacency.sum(axis=2, keepdims=True)
+    return PaddedBatch(features, positional, adjacency / np.maximum(degree, 1.0), sizes)
+
+
+def encode_batch(
     store: ParamStore,
     config: GraphEncoderConfig,
-    sub: EgoSubgraph,
+    batch: PaddedBatch,
     x_input: Tensor | None = None,
 ) -> tuple[Tensor, Tensor]:
-    """Forward pass on the tape. Returns (unit-norm embedding (1, d), feature
-    leaf) so callers can read gradients w.r.t. the input features."""
-    if x_input is None:
-        x_input = Tensor(sub.features, requires_grad=True)
-    _check_inputs(config, sub, x_input.data)
+    """Forward pass over a padded batch on one tape. Returns (unit-norm
+    embeddings (B, d), feature tensor (B, n_max, d)), by default a grad-enabled
+    leaf over ``batch.features``.
 
-    n = sub.num_nodes
+    Padded slots never reach a real node: a -inf key mask hides them from
+    attention, their neighbor-mean weight is zero, and pooling skips them, so
+    their input values are ignored and get exactly zero gradient."""
+    if x_input is None:
+        x_input = Tensor(batch.features, requires_grad=True)
+    if x_input.data.shape != batch.features.shape:
+        raise ShapeError(f"input features: expected {batch.features.shape}, "
+                         f"got {x_input.data.shape}")
+
+    b, n, _ = batch.features.shape
     heads, hidden = config.heads, config.hidden
     head_dim = hidden // heads
     scale = 1.0 / np.sqrt(head_dim)
+    real = np.arange(n) < batch.sizes[:, None]                      # (B, n_max)
+    key_mask = Tensor(np.where(real, 0.0, -np.inf)[:, None, None, :])
 
-    pos = Tensor(sub.positional)
-    h = ad.concat([x_input, pos], axis=1) @ store["input.weight"] + store["input.bias"]
-    neighbor_mean = Tensor(_neighbor_mean_matrix(sub))
+    pos = Tensor(batch.positional)
+    h = ad.concat([x_input, pos], axis=2) @ store["input.weight"] + store["input.bias"]
+    neighbor_mean = Tensor(batch.neighbor_mean)
+
+    def split_heads(t: Tensor) -> Tensor:                           # (B, heads, n, hd)
+        return ad.transpose(ad.reshape(t, (b, n, heads, head_dim)), (0, 2, 1, 3))
 
     for i in range(config.layers):
         p = f"layer{i}."
@@ -230,15 +264,12 @@ def encode_graph_tensor(
             + store[p + "local_neigh.bias"]
         )
 
-        q = h @ store[p + "attn_q.weight"] + store[p + "attn_q.bias"]
-        k = h @ store[p + "attn_k.weight"] + store[p + "attn_k.bias"]
-        v = h @ store[p + "attn_v.weight"] + store[p + "attn_v.bias"]
-        q3 = ad.transpose(ad.reshape(q, (n, heads, head_dim)), (1, 0, 2))
-        k3 = ad.transpose(ad.reshape(k, (n, heads, head_dim)), (1, 0, 2))
-        v3 = ad.transpose(ad.reshape(v, (n, heads, head_dim)), (1, 0, 2))
-        scores = ad.mul(q3 @ ad.transpose(k3, (0, 2, 1)), ad.as_tensor(scale))
-        context = ad.softmax(scores) @ v3
-        context = ad.reshape(ad.transpose(context, (1, 0, 2)), (n, hidden))
+        q = split_heads(h @ store[p + "attn_q.weight"] + store[p + "attn_q.bias"])
+        k = split_heads(h @ store[p + "attn_k.weight"] + store[p + "attn_k.bias"])
+        v = split_heads(h @ store[p + "attn_v.weight"] + store[p + "attn_v.bias"])
+        scores = ad.mul(q @ ad.transpose(k, (0, 1, 3, 2)), ad.as_tensor(scale)) + key_mask
+        context = ad.softmax(scores) @ v
+        context = ad.reshape(ad.transpose(context, (0, 2, 1, 3)), (b, n, hidden))
         attn = context @ store[p + "attn_out.weight"] + store[p + "attn_out.bias"]
 
         h = ad.layer_norm(h + local + attn, store[p + "norm1.gain"], store[p + "norm1.bias"])
@@ -246,9 +277,25 @@ def encode_graph_tensor(
         ff = ff @ store[p + "ffn2.weight"] + store[p + "ffn2.bias"]
         h = ad.layer_norm(h + ff, store[p + "norm2.gain"], store[p + "norm2.bias"])
 
-    pooled = ad.tmean(h, axis=0, keepdims=True)
+    pooled = ad.mul(ad.tsum(ad.mul(h, Tensor(real[:, :, None])), axis=1),
+                    Tensor(1.0 / batch.sizes[:, None]))
     projected = pooled @ store["proj.weight"] + store["proj.bias"]
     return ad.l2_normalize(projected), x_input
+
+
+def encode_graph_tensor(
+    store: ParamStore,
+    config: GraphEncoderConfig,
+    sub: EgoSubgraph,
+    x_input: Tensor | None = None,
+) -> tuple[Tensor, Tensor]:
+    """Forward pass of one subgraph as a batch of one. Returns (unit-norm
+    embedding (1, d), feature leaf) so callers can read input gradients."""
+    if x_input is None:
+        x_input = Tensor(sub.features, requires_grad=True)
+    out, _ = encode_batch(store, config, pad_batch(config, [sub]),
+                          ad.reshape(x_input, (1,) + x_input.data.shape))
+    return out, x_input
 
 
 def encode_graph(
@@ -298,26 +345,40 @@ def save_checkpoint(path, store: ParamStore, config: GraphEncoderConfig,
 
 
 def load_checkpoint(path) -> tuple[ParamStore, GraphEncoderConfig, dict]:
-    """Load a checkpoint; rejects unknown magic or mismatched versions."""
+    """Load a checkpoint; rejects unknown magic, mismatched versions, and
+    truncated or overlong files."""
     raw = Path(path).read_bytes()
     if raw[:8] != CHECKPOINT_MAGIC:
         raise ValidationError("not a checkpoint file (bad magic)")
+    if len(raw) < 12:
+        raise ValidationError("truncated checkpoint: no header length")
     (header_len,) = struct.unpack("<I", raw[8:12])
-    header = json.loads(raw[12:12 + header_len])
+    offset = 12 + header_len
+    if offset > len(raw):
+        raise ValidationError(f"truncated checkpoint: header needs {header_len} bytes, "
+                              f"{len(raw) - 12} present")
+    try:
+        header = json.loads(raw[12:offset])
+    except ValueError as exc:
+        raise ValidationError(f"malformed checkpoint header: {exc}") from exc
     if header.get("format_version") != CHECKPOINT_VERSION:
         raise ValidationError(
             f"checkpoint version {header.get('format_version')} not supported "
             f"(expected {CHECKPOINT_VERSION})"
         )
     config = GraphEncoderConfig(**header["config"])
-    offset = 12 + header_len
     tensors = {}
     for entry in header["tensors"]:
         shape = tuple(entry["shape"])
         size = int(np.prod(shape)) * 8
+        if offset + size > len(raw):
+            raise ValidationError(f"truncated checkpoint: tensor {entry['name']!r} needs "
+                                  f"{size} bytes, {len(raw) - offset} present")
         data = np.frombuffer(raw[offset:offset + size], dtype="<f8").reshape(shape)
         tensors[entry["name"]] = Tensor(data.copy(), requires_grad=True)
         offset += size
+    if offset != len(raw):
+        raise ValidationError(f"checkpoint has {len(raw) - offset} trailing bytes")
     expected = set(parameter_shapes(config))
     if set(tensors) != expected:
         raise ValidationError("checkpoint tensor names do not match the config")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from . import autodiff as ad
-from .encoder import GraphEncoderConfig, ParamStore, encode_graph_tensor
+from .encoder import GraphEncoderConfig, ParamStore, encode_batch, pad_batch
 from .errors import ValidationError
 from .graphs import SamplerConfig, TextAttributedGraph, rwr_sample, with_positional_encodings
 from .losses import contrastive_loss_tensor, supervised_contrastive_loss_tensor
@@ -119,39 +119,35 @@ def _random_subgraph(config: GraphEncoderConfig, num_nodes: int, seed: int):
 
 def check_encoder_gradients(
     config: GraphEncoderConfig,
-    num_nodes: int = 3,
+    num_nodes: int | tuple[int, ...] = 3,
     seed: int = 0,
     step: float = DEFAULT_STEP,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> dict[str, tuple[float, bool]]:
     """FD-verify every parameter gradient and the input-feature gradient of a
-    scalar readout of the encoder."""
+    scalar readout of the encoder; a tuple ``num_nodes`` encodes one padded
+    batch of subgraphs of those sizes, padded slots included."""
+    sizes = (num_nodes,) if isinstance(num_nodes, int) else tuple(num_nodes)
     store = ParamStore.initialize(config, seed=seed)
-    sub = _random_subgraph(config, num_nodes, seed + 1)
-    readout = np.random.default_rng(seed + 2).normal(size=(1, config.text_dim))
+    batch = pad_batch(config, [_random_subgraph(config, n, seed + 1 + i)
+                               for i, n in enumerate(sizes)])
+    readout = np.random.default_rng(seed + 2).normal(size=(len(sizes), config.text_dim))
+    features = batch.features.copy()
 
     def forward() -> float:
-        out, _ = encode_graph_tensor(store, config, sub)
+        out, _ = encode_batch(store, config, batch, Tensor(features))
         return float((out.data * readout).sum())
 
-    out, x_leaf = encode_graph_tensor(store, config, sub)
+    out, x_leaf = encode_batch(store, config, batch)
     loss = ad.tsum(ad.mul(out, Tensor(readout)))
     store.zero_grads()
     loss.backward()
 
     analytic = {name: store[name].grad.copy() for name in store.names()}
     analytic["input.features"] = x_leaf.grad.copy()
-
-    numeric = {}
-    for name in store.names():
-        numeric[name] = central_difference(forward, store[name].data, step)
-    features = sub.features.copy()
-
-    def forward_features() -> float:
-        out2, _ = encode_graph_tensor(store, config, sub, x_input=Tensor(features))
-        return float((out2.data * readout).sum())
-
-    numeric["input.features"] = central_difference(forward_features, features, step)
+    numeric = {name: central_difference(forward, store[name].data, step)
+               for name in store.names()}
+    numeric["input.features"] = central_difference(forward, features, step)
     return compare_gradients(analytic, numeric, tolerance)
 
 
@@ -237,6 +233,10 @@ def run_grad_check(
         report.add(label, check_encoder_gradients(config, num_nodes=3,
                                                   seed=seed + trial, step=step,
                                                   tolerance=tolerance))
+    config = configs[-1]
+    report.add(f"encoder(L={config.layers},D={config.hidden},padded batch)",
+               check_encoder_gradients(config, num_nodes=(3, 2), seed=seed,
+                                       step=step, tolerance=tolerance))
     report.add("contrastive_loss",
                check_contrastive_gradients(seed=seed, step=step, tolerance=tolerance))
     report.add("supervised_contrastive_loss",

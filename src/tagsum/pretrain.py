@@ -4,10 +4,9 @@ The outer loop minimizes the in-batch contrastive loss; the inner loop runs M
 projected-ascent steps on a per-node feature perturbation delta (one block
 per subgraph, norm-constrained to an epsilon ball) against fixed summary
 embeddings, accumulating parameter gradients at each visited delta and
-averaging them for the outer update. With epsilon = 0 the feasible set is
-{0} and every inner gradient equals the clean gradient, so that case runs
-the plain single-pass path; the trajectory is then bit-identical to a run
-with the adversary disabled.
+averaging them for the outer update. A disabled adversary is epsilon = 0:
+the feasible set is {0} and every inner gradient equals the clean gradient,
+so that case runs a single pass.
 """
 
 from __future__ import annotations
@@ -20,12 +19,13 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor
-from . import autodiff as ad
 from .corpus import GraphSummaryPair
 from .encoder import (
     GraphEncoderConfig,
+    PaddedBatch,
     ParamStore,
-    encode_graph_tensor,
+    encode_batch,
+    pad_batch,
     save_checkpoint,
 )
 from .errors import NonFiniteLossError, ValidationError
@@ -45,7 +45,7 @@ METRICS_COLUMNS = ("step", "epoch", "loss", "alignment", "uniformity",
 
 @dataclass
 class PerturbationState:
-    """Adversarial perturbation settings and the current per-node delta.
+    """Adversarial perturbation settings.
 
     ``epsilon`` may be zero (empty feasible set: the adversary is inert). The
     per-subgraph delta block norm never exceeds epsilon after an update.
@@ -55,7 +55,6 @@ class PerturbationState:
     norm_p: float = 2.0
     inner_steps: int = 3
     step_size: float | None = None
-    delta: list[np.ndarray] | None = None
 
     def __post_init__(self):
         if self.epsilon < 0:
@@ -70,28 +69,27 @@ class PerturbationState:
         return self.step_size if self.step_size is not None else self.epsilon / self.inner_steps
 
 
+def block_norms(delta: np.ndarray, norm_p: float) -> np.ndarray:
+    """Norm of each trailing (n, d) block; leading axes index the blocks."""
+    if norm_p == float("inf"):
+        return np.abs(delta).max(axis=(-2, -1), initial=0.0)
+    return np.sqrt((delta * delta).sum(axis=(-2, -1)))
+
+
 def project_block(delta: np.ndarray, epsilon: float, norm_p: float) -> np.ndarray:
-    """Exact projection of one subgraph's delta block onto the norm ball."""
-    if epsilon == 0.0:
-        return np.zeros_like(delta)
+    """Exact projection of each delta block onto the epsilon norm ball."""
     if norm_p == float("inf"):
         return np.clip(delta, -epsilon, epsilon)
-    norm = float(np.linalg.norm(delta))
-    if norm > epsilon:
-        return delta * (epsilon / norm)
-    return delta
+    norm = block_norms(delta, norm_p)[..., None, None]
+    return delta * np.minimum(1.0, epsilon / np.where(norm > 0.0, norm, 1.0))
 
 
-def ascent_direction(grad: np.ndarray, norm_p: float) -> np.ndarray | None:
-    """Unit-norm ascent direction for the block; None when the gradient is zero."""
+def ascent_direction(grad: np.ndarray, norm_p: float) -> np.ndarray:
+    """Unit-norm ascent direction of each block; zero for a zero gradient."""
     if norm_p == float("inf"):
-        if not np.any(grad):
-            return None
         return np.sign(grad)
-    norm = float(np.linalg.norm(grad))
-    if norm == 0.0:
-        return None
-    return grad / norm
+    norm = block_norms(grad, norm_p)[..., None, None]
+    return grad / np.where(norm > 0.0, norm, 1.0)
 
 
 @dataclass
@@ -134,22 +132,28 @@ class InnerLoopResult:
     first_loss: float
     final_loss: float
     clean_embeddings: np.ndarray         # graph batch at delta = 0, pre-update
-    delta_blocks: list[np.ndarray]
+    delta_blocks: np.ndarray             # (B, n_max, d); padded rows stay zero
     delta_norms: np.ndarray              # per-subgraph norms after the last update
     max_block_norm: float                # max over all inner steps and blocks
     skipped_zero_grad_steps: int
 
 
-def _encode_batch(
+def _forward_backward(
     store: ParamStore,
     config: GraphEncoderConfig,
-    subgraphs: list[EgoSubgraph],
-    x_arrays: list[np.ndarray],
-) -> tuple[Tensor, list[Tensor]]:
-    leaves = [Tensor(x, requires_grad=True) for x in x_arrays]
-    rows = [encode_graph_tensor(store, config, sub, x_input=leaf)[0]
-            for sub, leaf in zip(subgraphs, leaves)]
-    return ad.concat(rows, axis=0), leaves
+    batch: PaddedBatch,
+    x: np.ndarray,
+    summary_embs: np.ndarray,
+    temperature: float,
+) -> tuple[dict[str, np.ndarray], float, np.ndarray, np.ndarray]:
+    """One forward and one backward over the whole batch at features ``x``.
+    Returns (parameter gradients, loss, embeddings, feature gradient)."""
+    leaf = Tensor(x, requires_grad=True)
+    h, _ = encode_batch(store, config, batch, leaf)
+    loss = contrastive_loss_tensor(h, Tensor(summary_embs), temperature)
+    store.zero_grads()
+    loss.backward()
+    return store.gradients(), loss.item(), h.data.copy(), leaf.grad
 
 
 def clean_gradients(
@@ -160,11 +164,9 @@ def clean_gradients(
     temperature: float,
 ) -> tuple[dict[str, np.ndarray], float, np.ndarray]:
     """Single unperturbed forward/backward; the no-adversary gradient."""
-    h, _ = _encode_batch(store, config, subgraphs, [s.features for s in subgraphs])
-    loss = contrastive_loss_tensor(h, Tensor(summary_embs), temperature)
-    store.zero_grads()
-    loss.backward()
-    return store.gradients(), loss.item(), h.data.copy()
+    batch = pad_batch(config, subgraphs)
+    return _forward_backward(store, config, batch, batch.features,
+                             summary_embs, temperature)[:3]
 
 
 def inner_maximize(
@@ -179,69 +181,34 @@ def inner_maximize(
 
     Parameter gradients are taken at each visited delta (delta_0 = 0 through
     delta_{M-1}) and averaged; the returned delta blocks satisfy the norm
-    constraint exactly.
+    constraint exactly. Each step's ascent reads the feature gradient of the
+    backward pass that also gives its parameter gradients. With epsilon = 0
+    every visited delta is 0, so a single step gives the clean gradient.
     """
-    if pert.epsilon == 0.0:
-        grads, loss, h_clean = clean_gradients(store, config, subgraphs,
-                                               summary_embs, temperature)
-        return InnerLoopResult(
-            gradients=grads, first_loss=loss, final_loss=loss,
-            clean_embeddings=h_clean,
-            delta_blocks=[np.zeros_like(s.features) for s in subgraphs],
-            delta_norms=np.zeros(len(subgraphs)), max_block_norm=0.0,
-            skipped_zero_grad_steps=0,
-        )
-
-    deltas = [np.zeros_like(sub.features) for sub in subgraphs]
-    accum: dict[str, np.ndarray] | None = None
-    first_loss = final_loss = 0.0
-    h_clean = np.zeros((len(subgraphs), config.text_dim))
+    batch = pad_batch(config, subgraphs)
+    steps = pert.inner_steps if pert.epsilon > 0.0 else 1
+    delta = np.zeros_like(batch.features)
     skipped = 0
     max_norm = 0.0
-    u_const = Tensor(summary_embs)
 
-    for m in range(pert.inner_steps):
-        x_arrays = [sub.features + delta for sub, delta in zip(subgraphs, deltas)]
-        h, leaves = _encode_batch(store, config, subgraphs, x_arrays)
-        loss = contrastive_loss_tensor(h, u_const, temperature)
-        store.zero_grads()
-        loss.backward()
-        value = loss.item()
+    for m in range(steps):
+        grads, final_loss, h, x_grad = _forward_backward(
+            store, config, batch, batch.features + delta, summary_embs, temperature)
         if m == 0:
-            first_loss = value
-            h_clean = h.data.copy()
-        final_loss = value
-
-        grads = store.gradients()
-        if accum is None:
-            accum = grads
+            first_loss, h_clean, accum = final_loss, h, grads
         else:
-            for name in accum:
-                accum[name] += grads[name]
+            accum = {name: accum[name] + g for name, g in grads.items()}
 
-        for i, leaf in enumerate(leaves):
-            direction = ascent_direction(leaf.grad, pert.norm_p)
-            if direction is None:
-                skipped += 1
-                continue
-            deltas[i] = project_block(deltas[i] + pert.alpha * direction,
-                                      pert.epsilon, pert.norm_p)
-            if pert.norm_p == float("inf"):
-                max_norm = max(max_norm, float(np.abs(deltas[i]).max(initial=0.0)))
-            else:
-                max_norm = max(max_norm, float(np.linalg.norm(deltas[i])))
+        skipped += int(np.sum(block_norms(x_grad, pert.norm_p) == 0.0))
+        delta = project_block(delta + pert.alpha * ascent_direction(x_grad, pert.norm_p),
+                              pert.epsilon, pert.norm_p)
+        norms = block_norms(delta, pert.norm_p)
+        max_norm = max(max_norm, float(norms.max()))
 
-    assert accum is not None
-    for name in accum:
-        accum[name] /= pert.inner_steps
-    if pert.norm_p == float("inf"):
-        norms = np.array([float(np.abs(d).max(initial=0.0)) for d in deltas])
-    else:
-        norms = np.array([float(np.linalg.norm(d)) for d in deltas])
-    pert.delta = deltas
     return InnerLoopResult(
-        gradients=accum, first_loss=first_loss, final_loss=final_loss,
-        clean_embeddings=h_clean, delta_blocks=deltas, delta_norms=norms,
+        gradients={name: g / steps for name, g in accum.items()},
+        first_loss=first_loss, final_loss=final_loss,
+        clean_embeddings=h_clean, delta_blocks=delta, delta_norms=norms,
         max_block_norm=max_norm, skipped_zero_grad_steps=skipped,
     )
 
@@ -317,6 +284,7 @@ def pretrain(
     if not pairs:
         raise ValidationError("empty pair dataset")
     optimizer_config = optimizer_config or OptimizerConfig()
+    perturbation = perturbation or PerturbationState(epsilon=0.0)
     sampler_cfg = sampler_cfg or SamplerConfig()
 
     checksum_before = text_encoder.state_checksum()
@@ -347,18 +315,9 @@ def pretrain(
             batch_subs = [subgraphs[i] for i in batch_ids]
             batch_u = summary_matrix[batch_ids]
 
-            if perturbation is None:
-                grads, loss_value, h_clean = clean_gradients(
-                    store, graph_config, batch_subs, batch_u, temperature)
-                delta_norms = np.zeros(len(batch_ids))
-            else:
-                result = inner_maximize(store, graph_config, batch_subs, batch_u,
-                                        perturbation, temperature)
-                grads, loss_value = result.gradients, result.first_loss
-                h_clean = result.clean_embeddings
-                delta_norms = result.delta_norms
-
-            if not np.isfinite(loss_value):
+            inner = inner_maximize(store, graph_config, batch_subs, batch_u,
+                                   perturbation, temperature)
+            if not np.isfinite(inner.first_loss):
                 raise NonFiniteLossError(
                     f"non-finite loss at step {step} (epoch {epoch})",
                     dump={
@@ -366,22 +325,22 @@ def pretrain(
                         "epoch": epoch,
                         "pair_indices": [int(i) for i in batch_ids],
                         "pair_keys": [list(pairs[i].key) for i in batch_ids],
-                        "loss": loss_value,
+                        "loss": inner.first_loss,
                     },
                 )
 
-            optimizer.step(grads)
-            alignment, uniformity = alignment_uniformity(h_clean, batch_u)
+            optimizer.step(inner.gradients)
+            alignment, uniformity = alignment_uniformity(inner.clean_embeddings, batch_u)
             metrics.append({
                 "step": step,
                 "epoch": epoch,
-                "loss": loss_value,
+                "loss": inner.first_loss,
                 "alignment": alignment,
                 "uniformity": uniformity,
-                "delta_norm_mean": float(delta_norms.mean()) if len(delta_norms) else 0.0,
+                "delta_norm_mean": float(inner.delta_norms.mean()),
                 "lr": optimizer_config.lr,
             })
-            delta_trace.append(delta_norms)
+            delta_trace.append(inner.delta_norms)
             step += 1
 
         if out_dir is not None and checkpoint_every and (epoch + 1) % checkpoint_every == 0:
@@ -415,7 +374,7 @@ def _metadata(optimizer_config, perturbation, epochs, batch_size, seed,
               temperature, text_checksum) -> dict:
     # epsilon = 0 is canonicalized to "no adversary" so that run's checkpoint
     # bytes match a run with the adversary disabled outright.
-    active = perturbation is not None and perturbation.epsilon > 0.0
+    active = perturbation.epsilon > 0.0
     return {
         "lr": optimizer_config.lr,
         "weight_decay": optimizer_config.weight_decay,

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -52,20 +54,28 @@ def label_prompts(text_encoder):
 
 
 @pytest.fixture(scope="session")
-def trained_model(source_graph, text_encoder):
-    """The toy pretrained checkpoint shared by adaptation and acceptance tests.
+def toy_training(source_graph, text_encoder):
+    """The toy pretraining run shared by adaptation and acceptance tests:
+    (pairs, result, training wall seconds).
 
     200 class-correlated pairs, 40 epochs, adversarial inner loop at the
     published epsilon and step count.
     """
     pairs = make_synthetic_pairs(source_graph, range(source_graph.num_nodes))
+    start = time.monotonic()
     result = pretrain(
         pairs, {"src": source_graph}, text_encoder, TOY_ENCODER,
         OptimizerConfig(lr=5e-3, weight_decay=1e-5),
         PerturbationState(epsilon=1e-2, inner_steps=3),
         epochs=40, batch_size=16, seed=0, sampler_cfg=TOY_SAMPLER,
     )
-    return result
+    return pairs, result, time.monotonic() - start
+
+
+@pytest.fixture(scope="session")
+def trained_model(toy_training):
+    """The toy pretrained checkpoint."""
+    return toy_training[1]
 
 
 @pytest.fixture

@@ -39,10 +39,9 @@ from tagsum.synthetic import (
     CLASS_DESCRIPTIONS,
     CLASS_KEYWORDS,
     LABEL_TEMPLATE,
-    make_synthetic_pairs,
     make_synthetic_tag,
 )
-from tagsum.textenc import HashTextEncoder, attach_features
+from tagsum.textenc import attach_features
 from tagsum.theory import verify_proposition, verify_theorem_bound
 from tagsum.adapt import build_label_prompts
 
@@ -63,20 +62,11 @@ TOY_SAMPLER = SamplerConfig(node_budget=8, max_steps=64)
 
 
 @pytest.fixture(scope="module")
-def toy_run():
-    encoder = HashTextEncoder(dim=24)
-    source = attach_features(make_synthetic_tag(200, seed=0, graph_id="src"),
-                             encoder)
-    pairs = make_synthetic_pairs(source, range(source.num_nodes))
-    start = time.monotonic()
-    result = pretrain(
-        pairs, {"src": source}, encoder, TOY_CFG,
-        OptimizerConfig(lr=5e-3, weight_decay=1e-5),
-        PerturbationState(epsilon=1e-2, inner_steps=3),
-        epochs=40, batch_size=16, seed=0, sampler_cfg=TOY_SAMPLER,
-    )
-    elapsed = time.monotonic() - start
-    return encoder, source, pairs, result, elapsed
+def toy_run(text_encoder, source_graph, toy_training):
+    # The session-wide toy run from conftest: the same 200-node source,
+    # pairs, config and seed, trained once per test session.
+    pairs, result, elapsed = toy_training
+    return text_encoder, source_graph, pairs, result, elapsed
 
 
 class TestCriterion1GradientSuite:

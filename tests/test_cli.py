@@ -223,3 +223,34 @@ class TestErrors:
         resolved = json.loads((out / "resolved_config.json").read_text())
         assert resolved["theory"]["zeta"] == 0.5
         assert resolved["theory"]["samples"] == 50000
+
+    def test_malformed_config_file_is_validation_error(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text('{"theory": {"zeta": 0.5')
+        code = main(["theory", "--config", str(config), "--out", str(tmp_path / "c")])
+        assert code == EXIT_VALIDATION
+        parsed = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert parsed["code"] == EXIT_VALIDATION
+
+    def test_truncated_checkpoint_is_validation_error(self, workdir, checkpoint, tmp_path):
+        raw = checkpoint.read_bytes()
+        for cut in (10, len(raw) - 3):
+            truncated = tmp_path / f"cut{cut}.bin"
+            truncated.write_bytes(raw[:cut])
+            code = main(["eval-lp", "--graph", str(workdir / "graph.tsv"),
+                         "--checkpoint", str(truncated),
+                         "--out", str(tmp_path / f"out{cut}"), *SMALL])
+            assert code == EXIT_VALIDATION
+
+    def test_label_asset_missing_key_is_validation_error(self, workdir, checkpoint,
+                                                          tmp_path):
+        for key in ("classes", "template"):
+            spec = json.loads((workdir / "labels.json").read_text())
+            del spec[key]
+            labels = tmp_path / f"no_{key}.json"
+            labels.write_text(json.dumps(spec))
+            code = main(["eval-nc", "--graph", str(workdir / "graph.tsv"),
+                         "--checkpoint", str(checkpoint), "--labels", str(labels),
+                         "--out", str(tmp_path / f"out_{key}"), "--shots", "0",
+                         *SMALL])
+            assert code == EXIT_VALIDATION

@@ -3,11 +3,16 @@
 import numpy as np
 import pytest
 
+import tagsum.autodiff as ad
+from tagsum.autodiff import Tensor
 from tagsum.encoder import (
     GraphEncoderConfig,
     ParamStore,
+    encode_batch,
     encode_graph,
+    encode_graph_tensor,
     load_checkpoint,
+    pad_batch,
     parameter_count,
     preset_config,
     preset_total_parameter_count,
@@ -16,6 +21,7 @@ from tagsum.encoder import (
 )
 from tagsum.errors import ShapeError, ValidationError
 from tagsum.graphs import EgoSubgraph, with_positional_encodings
+from tagsum.losses import contrastive_loss_tensor
 
 CFG = GraphEncoderConfig(layers=2, hidden=16, heads=4, positional_dim=4, text_dim=6)
 
@@ -86,6 +92,33 @@ class TestForward:
         zeroed = encode_graph(store, CFG, sub,
                               feature_offset=np.zeros(CFG.text_dim))
         np.testing.assert_array_equal(base.vector, zeroed.vector)
+
+
+class TestPaddedBatch:
+    def test_padding_invariance(self):
+        # One padded batch of unequal subgraphs, one of them a single node,
+        # against the same subgraphs encoded one at a time.
+        store = ParamStore.initialize(CFG, seed=2)
+        subs = [random_subgraph(n, CFG, seed=n) for n in (5, 1, 7, 3, 2, 6, 4, 8)]
+        summaries = np.random.default_rng(9).normal(size=(len(subs), CFG.text_dim))
+        summaries /= np.linalg.norm(summaries, axis=1, keepdims=True)
+
+        z, x = encode_batch(store, CFG, pad_batch(CFG, subs))
+        store.zero_grads()
+        contrastive_loss_tensor(z, Tensor(summaries), 0.1).backward()
+        batched = store.gradients()
+
+        rows = [encode_graph_tensor(store, CFG, sub)[0] for sub in subs]
+        for i, row in enumerate(rows):
+            assert np.max(np.abs(z.data[i] - row.data[0])) <= 1e-12
+        store.zero_grads()
+        contrastive_loss_tensor(ad.concat(rows, axis=0), Tensor(summaries), 0.1).backward()
+        for name, grad in store.gradients().items():
+            np.testing.assert_allclose(batched[name], grad, rtol=0, atol=1e-12,
+                                       err_msg=name)
+        for i, sub in enumerate(subs):
+            assert np.all(x.grad[i, sub.num_nodes:] == 0.0)
+        assert x.grad.shape == (len(subs), 8, CFG.text_dim)
 
 
 class TestParamStore:
@@ -170,6 +203,20 @@ class TestCheckpoint:
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOTAC KPT" + b"\x00" * 100)
+        with pytest.raises(ValidationError):
+            load_checkpoint(path)
+
+    def test_truncated_or_extended_rejected(self, tmp_path):
+        store = ParamStore.initialize(CFG, seed=0)
+        path = tmp_path / "model.bin"
+        save_checkpoint(path, store, CFG)
+        raw = path.read_bytes()
+        header_end = 12 + int.from_bytes(raw[8:12], "little")
+        for cut in (10, 12, header_end - 1, header_end + 4, len(raw) - 1):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(ValidationError):
+                load_checkpoint(path)
+        path.write_bytes(raw + b"\x00")
         with pytest.raises(ValidationError):
             load_checkpoint(path)
 

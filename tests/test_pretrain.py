@@ -71,8 +71,10 @@ class TestProjection:
         assert np.abs(projected).max() <= 1e-2
 
     def test_zero_gradient_direction_none(self):
-        assert ascent_direction(np.zeros((2, 2)), 2.0) is None
-        assert ascent_direction(np.zeros((2, 2)), float("inf")) is None
+        np.testing.assert_array_equal(ascent_direction(np.zeros((2, 2)), 2.0),
+                                      np.zeros((2, 2)))
+        np.testing.assert_array_equal(ascent_direction(np.zeros((2, 2)), float("inf")),
+                                      np.zeros((2, 2)))
 
 
 class TestInnerMaximize:

@@ -3,10 +3,12 @@
 Zero-shot classification embeds each class as a rendered label sentence and
 picks the nearest one by cosine similarity (ties break to the lowest class
 id). Link prediction scores an edge as the cosine of its endpoints'
-subgraph embeddings, sampled after removing the scored edge so neither
-endpoint sees it. Prompt tuning learns a single shared feature offset added
-to every node feature, trained with a supervised contrastive loss against
-label sentences while both towers stay frozen.
+subgraph embeddings; the sampler excludes the scored edge, so neither
+endpoint sees it and the graph is never copied. Evaluation samples and
+encodes nodes in fixed-size chunks, each one padded batch with no autodiff
+tape. Prompt tuning learns a single shared feature offset added to every
+node feature, trained with a supervised contrastive loss against label
+sentences while both towers stay frozen.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .encoder import GraphEncoderConfig, ParamStore, encode_batch, encode_graph, pad_batch
+from .encoder import GraphEncoderConfig, ParamStore, encode_batch, encode_subgraphs, pad_batch
 from .errors import ValidationError
 from .graphs import (
     SamplerConfig,
@@ -34,6 +36,9 @@ from .prompts import render_label_sentence
 from .textenc import Embedding
 
 _MASK32 = (1 << 32) - 1
+# Subgraphs sampled and encoded per inference batch. Chunks are streamed so a
+# run never holds more than one batch of subgraphs.
+INFERENCE_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -139,19 +144,30 @@ def _node_sampler_cfg(base: SamplerConfig, run_seed: int) -> SamplerConfig:
     return dataclasses.replace(base, rng_seed=(base.rng_seed * 0x9E3779B1 + run_seed) & _MASK32)
 
 
-def encode_node(
+def _embed_nodes(
     store: ParamStore,
     config: GraphEncoderConfig,
     graph: TextAttributedGraph,
-    node: int,
     sampler_cfg: SamplerConfig,
+    nodes,
+    excluded=None,
     feature_offset: np.ndarray | None = None,
-) -> Embedding:
-    """Sample the node's ego-subgraph, attach positional encodings, encode."""
-    sub = with_positional_encodings(
-        rwr_sample(graph, node, sampler_cfg), config.positional_dim
-    )
-    return encode_graph(store, config, sub, feature_offset=feature_offset)
+) -> np.ndarray:
+    """Embeddings (len(nodes), d) of each node's ego-subgraph with positional
+    encodings, ``INFERENCE_CHUNK`` subgraphs per batch.
+
+    ``excluded[i]`` is an edge left out when sampling ``nodes[i]``, or None.
+    """
+    out = np.empty((len(nodes), config.text_dim))
+    for start in range(0, len(nodes), INFERENCE_CHUNK):
+        stop = min(start + INFERENCE_CHUNK, len(nodes))
+        subs = [with_positional_encodings(
+                    rwr_sample(graph, int(nodes[i]), sampler_cfg,
+                               exclude=None if excluded is None else excluded[i]),
+                    config.positional_dim)
+                for i in range(start, stop)]
+        out[start:stop] = encode_subgraphs(store, config, subs, feature_offset)
+    return out
 
 
 @dataclass
@@ -213,11 +229,10 @@ def _accuracy(store, config, graph, labels, sampler_cfg, node_ids, run_seed,
               feature_offset=None) -> float:
     """Share of ``node_ids`` whose zero-shot prediction matches their label."""
     mapping = prompt_index_map(graph, labels)
-    run_cfg = _node_sampler_cfg(sampler_cfg, run_seed)
+    embeddings = _embed_nodes(store, config, graph, _node_sampler_cfg(sampler_cfg, run_seed),
+                              node_ids, feature_offset=feature_offset)
     correct = 0
-    for node in node_ids:
-        emb = encode_node(store, config, graph, int(node), run_cfg,
-                          feature_offset=feature_offset)
+    for node, emb in zip(node_ids, embeddings):
         predicted, _ = zero_shot_classify(emb, labels)
         correct += int(predicted == int(mapping[graph.labels[node]]))
     return correct / len(node_ids)
@@ -269,8 +284,8 @@ def evaluate_link_prediction(
 ) -> EvalResult:
     """AUC of cosine edge scores against uniformly sampled non-edges.
 
-    Each scored positive edge is removed from the graph before sampling
-    either endpoint's subgraph, so the score never sees the edge it predicts.
+    Both endpoints of a scored positive edge are sampled with that edge
+    excluded, so the score never sees the edge it predicts.
     """
     if not graph.edges:
         raise ValidationError("graph has no edges")
@@ -292,22 +307,13 @@ def evaluate_link_prediction(
             if key in edge_set:
                 continue
             negatives.append(key)
-        run_cfg = _node_sampler_cfg(sampler_cfg, seed)
-        scores = []
-        truth = []
-        for u, v in positives:
-            pruned = graph.without_edge(u, v)
-            scores.append(link_score(
-                encode_node(store, config, pruned, u, run_cfg),
-                encode_node(store, config, pruned, v, run_cfg),
-            ))
-            truth.append(True)
-        for u, v in negatives:
-            scores.append(link_score(
-                encode_node(store, config, graph, u, run_cfg),
-                encode_node(store, config, graph, v, run_cfg),
-            ))
-            truth.append(False)
+        pairs = positives + negatives
+        embeddings = _embed_nodes(
+            store, config, graph, _node_sampler_cfg(sampler_cfg, seed),
+            [node for pair in pairs for node in pair],
+            excluded=[pair for pair in positives for _ in pair] + [None] * (2 * num_test))
+        scores = [link_score(h_u, h_v) for h_u, h_v in zip(embeddings[::2], embeddings[1::2])]
+        truth = [True] * num_test + [False] * num_test
         result.runs.append(EvalRun(seed=seed, value=auc(scores, truth)))
     return result
 

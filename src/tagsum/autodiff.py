@@ -4,16 +4,33 @@ Every operation records its parents and a closure that routes the incoming
 gradient; ``backward`` walks the recorded graph in reverse topological order.
 Gradients accumulate into ``Tensor.grad`` slots of the leaves that were
 created with ``requires_grad=True`` (parameters and, when needed, input
-features). All data is promoted to float64.
+features). Inside ``no_grad()`` nothing is recorded, so inference keeps no
+tape. All data is promoted to float64.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
 
 from .errors import ValidationError
+
+
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no tape: tensors created inside keep no parents and no backward
+    closure. Nests, and restores the previous mode on exit or exception."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
 
 
 class Tensor:
@@ -23,8 +40,8 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad = np.zeros_like(self.data) if requires_grad else None
-        self._parents = _parents
-        self._backward = _backward
+        self._parents, self._backward = (
+            (_parents, _backward) if _grad_enabled else ((), None))
 
     @property
     def shape(self):

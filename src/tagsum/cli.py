@@ -129,16 +129,40 @@ class UsageError(Exception):
     pass
 
 
+# The type a value must have where the default is unset (None).
+UNSET_TYPES = {
+    "paths.graph": str, "paths.pairs": str, "paths.checkpoint": str, "paths.labels": str,
+    "encoder.preset": str, "text_encoder.table_path": str, "corpus.num_seeds": int,
+}
+
+
+def _expected_type(where: str, default) -> type:
+    return UNSET_TYPES[where] if default is None else type(default)
+
+
+def _check_type(where: str, default, value) -> None:
+    """Reject a value whose JSON type differs from the default's. An int may
+    stand for a float, null resets an unset key, and list items are checked
+    against the default's first item."""
+    expected = _expected_type(where, default)
+    if value is None and default is None:
+        return
+    if not (type(value) is expected or (expected is float and type(value) is int)):
+        raise ValidationError(
+            f"config key {where!r}: expected {expected.__name__}, got {value!r}")
+    if expected is list and default:
+        for i, item in enumerate(value):
+            _check_type(f"{where}[{i}]", default[0], item)
+
+
 def _merge(base: dict, override: dict, path: str = "") -> dict:
     out = copy.deepcopy(base)
     for key, value in override.items():
         where = f"{path}.{key}" if path else key
         if key not in base:
             raise ValidationError(f"unknown config key {where!r}")
-        if isinstance(base[key], dict) and isinstance(value, dict):
-            out[key] = _merge(base[key], value, where)
-        else:
-            out[key] = value
+        _check_type(where, base[key], value)
+        out[key] = _merge(base[key], value, where) if isinstance(value, dict) else value
     return out
 
 
@@ -152,10 +176,14 @@ def _apply_dotted(config: dict, dotted: str, raw_value: str) -> None:
     leaf = keys[-1]
     if leaf not in node:
         raise ValidationError(f"unknown config key {dotted!r}")
-    try:
-        node[leaf] = json.loads(raw_value)
-    except json.JSONDecodeError:
-        node[leaf] = raw_value
+    value = raw_value
+    if _expected_type(dotted, node[leaf]) is not str:
+        try:
+            value = json.loads(raw_value)
+        except json.JSONDecodeError:
+            pass
+    _check_type(dotted, node[leaf], value)
+    node[leaf] = _merge(node[leaf], value, dotted) if isinstance(value, dict) else value
 
 
 def load_config(config_path: str | None, overrides: list[tuple[str, str]]) -> dict:

@@ -16,8 +16,10 @@ each with one gradient slot.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -298,20 +300,34 @@ def encode_graph_tensor(
     return out, x_input
 
 
+def encode_subgraphs(
+    store: ParamStore,
+    config: GraphEncoderConfig,
+    subgraphs: list[EgoSubgraph],
+    feature_offset: np.ndarray | None = None,
+) -> np.ndarray:
+    """Inference: unit-norm embeddings (B, d) of subgraphs encoded as one
+    padded batch with no tape.
+
+    ``feature_offset`` is added to every node's feature row; prompt tuning
+    evaluates with its learned offset here.
+    """
+    batch = pad_batch(config, subgraphs)
+    features = batch.features if feature_offset is None else batch.features + feature_offset
+    with ad.no_grad():
+        out, _ = encode_batch(store, config, batch, Tensor(features))
+    return out.data
+
+
 def encode_graph(
     store: ParamStore,
     config: GraphEncoderConfig,
     sub: EgoSubgraph,
     feature_offset: np.ndarray | None = None,
 ) -> Embedding:
-    """Encode a subgraph to a unit-norm embedding (no gradients retained).
-
-    ``feature_offset`` is added to every node's feature row; prompt tuning
-    evaluates with its learned offset here.
-    """
-    features = sub.features if feature_offset is None else sub.features + feature_offset
-    out, _ = encode_graph_tensor(store, config, sub, x_input=Tensor(features))
-    return Embedding(vector=out.data[0], normalized=True)
+    """Encode one subgraph to a unit-norm embedding (a batch of one)."""
+    vector = encode_subgraphs(store, config, [sub], feature_offset)[0]
+    return Embedding(vector=vector, normalized=True)
 
 
 def save_checkpoint(path, store: ParamStore, config: GraphEncoderConfig,
@@ -359,27 +375,60 @@ def load_checkpoint(path) -> tuple[ParamStore, GraphEncoderConfig, dict]:
                               f"{len(raw) - 12} present")
     try:
         header = json.loads(raw[12:offset])
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValidationError(f"malformed checkpoint header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise ValidationError("malformed checkpoint header: not a JSON object")
     if header.get("format_version") != CHECKPOINT_VERSION:
         raise ValidationError(
             f"checkpoint version {header.get('format_version')} not supported "
             f"(expected {CHECKPOINT_VERSION})"
         )
-    config = GraphEncoderConfig(**header["config"])
+    config = _header_config(header.get("config"))
+    shapes = _header_shapes(header.get("tensors"), config)
+    metadata = header.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise ValidationError("malformed checkpoint header: metadata is not an object")
     tensors = {}
-    for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
-        size = int(np.prod(shape)) * 8
+    for name, shape in shapes.items():
+        size = math.prod(shape) * 8
         if offset + size > len(raw):
-            raise ValidationError(f"truncated checkpoint: tensor {entry['name']!r} needs "
+            raise ValidationError(f"truncated checkpoint: tensor {name!r} needs "
                                   f"{size} bytes, {len(raw) - offset} present")
         data = np.frombuffer(raw[offset:offset + size], dtype="<f8").reshape(shape)
-        tensors[entry["name"]] = Tensor(data.copy(), requires_grad=True)
+        tensors[name] = Tensor(data.copy(), requires_grad=True)
         offset += size
     if offset != len(raw):
         raise ValidationError(f"checkpoint has {len(raw) - offset} trailing bytes")
-    expected = set(parameter_shapes(config))
-    if set(tensors) != expected:
-        raise ValidationError("checkpoint tensor names do not match the config")
-    return ParamStore(tensors), config, header.get("metadata", {})
+    return ParamStore(tensors), config, metadata
+
+
+def _header_config(raw_config) -> GraphEncoderConfig:
+    fields = [f.name for f in dataclasses.fields(GraphEncoderConfig)]
+    if not isinstance(raw_config, dict) or sorted(raw_config) != sorted(fields):
+        raise ValidationError(f"malformed checkpoint header: config needs exactly {fields}")
+    for name in fields:
+        if type(raw_config[name]) is not int:
+            raise ValidationError(f"malformed checkpoint header: config.{name} "
+                                  f"is {raw_config[name]!r}, not an integer")
+    return GraphEncoderConfig(**raw_config)
+
+
+def _header_shapes(entries, config: GraphEncoderConfig) -> dict[str, tuple[int, ...]]:
+    """Tensor names and shapes in file order; they must be the config's."""
+    if not isinstance(entries, list):
+        raise ValidationError("malformed checkpoint header: tensors is not a list")
+    # Every layer owns tensors, so this bounds the shape enumeration below
+    # for an absurd layer count.
+    if config.layers > len(entries):
+        raise ValidationError("checkpoint tensor names or shapes do not match the config")
+    shapes = {}
+    for entry in entries:
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("shape"), list)
+                and all(type(d) is int for d in entry["shape"])):
+            raise ValidationError(f"malformed checkpoint tensor entry {entry!r:.80}")
+        shapes[entry["name"]] = tuple(entry["shape"])
+    if len(shapes) != len(entries) or shapes != parameter_shapes(config):
+        raise ValidationError("checkpoint tensor names or shapes do not match the config")
+    return shapes

@@ -313,8 +313,35 @@ def rwr_walk(
     return positions
 
 
+class _PrunedNeighbors:
+    """A graph's neighbor arrays with one undirected edge removed.
+
+    Only the two endpoints get new arrays (O(degree)); every other node reads
+    the graph's cached ones. The arrays equal those of
+    ``graph.without_edge(u, v).neighbors``.
+    """
+
+    __slots__ = ("_base", "_pruned")
+
+    def __init__(self, graph: TextAttributedGraph, edge: tuple[int, int]):
+        u, v = int(edge[0]), int(edge[1])
+        base = graph.neighbors
+        if not (0 <= u < graph.num_nodes and 0 <= v < graph.num_nodes) \
+                or not np.any(base[u] == v):
+            raise ValidationError(f"edge {(min(u, v), max(u, v))} not present")
+        self._base = base
+        self._pruned = {u: base[u][base[u] != v], v: base[v][base[v] != u]}
+
+    def __getitem__(self, node: int) -> np.ndarray:
+        pruned = self._pruned.get(node)
+        return self._base[node] if pruned is None else pruned
+
+
 def rwr_sample(
-    graph: TextAttributedGraph, seed_node: int, cfg: SamplerConfig
+    graph: TextAttributedGraph,
+    seed_node: int,
+    cfg: SamplerConfig,
+    exclude: tuple[int, int] | None = None,
 ) -> EgoSubgraph:
     """Sample an ego-subgraph by random walk with restart.
 
@@ -322,6 +349,10 @@ def rwr_sample(
     ``max_steps`` transitions elapsed; the returned subgraph is the subgraph
     induced on the visited set (always containing the seed). Deterministic
     given (graph, seed_node, cfg).
+
+    ``exclude`` names an edge of the graph to leave out: the walk and the
+    induced edges are exactly those of sampling on
+    ``graph.without_edge(*exclude)``, without copying the graph.
     """
     if graph.num_nodes == 0:
         raise ValidationError("cannot sample from an empty graph")
@@ -329,7 +360,7 @@ def rwr_sample(
         raise ValidationError(f"seed node {seed_node} out of range")
 
     rng = _sampler_rng(cfg, seed_node)
-    neighbors = graph.neighbors
+    neighbors = graph.neighbors if exclude is None else _PrunedNeighbors(graph, exclude)
     visited = {seed_node}
     current = seed_node
     for _ in range(cfg.max_steps):

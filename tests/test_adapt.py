@@ -5,6 +5,7 @@ import pytest
 
 from tagsum.adapt import (
     FewShotSplit,
+    _node_sampler_cfg,
     build_label_prompts,
     auc,
     evaluate_link_prediction,
@@ -12,6 +13,7 @@ from tagsum.adapt import (
     link_score,
     load_label_prompt_asset,
     make_few_shot_split,
+    prompt_index_map,
     prompt_tune,
     save_label_prompt_asset,
     zero_shot_classify,
@@ -255,6 +257,69 @@ class TestLinkPrediction:
 
         sig = inspect.signature(evaluate_link_prediction)
         assert sig.parameters["test_fraction"].default == 0.5
+
+
+def reference_embedding(store, graph, node, sampler_cfg):
+    """One subgraph at a time on the autodiff tape: the pre-batching path."""
+    sub = with_positional_encodings(rwr_sample(graph, node, sampler_cfg),
+                                    TOY_ENCODER.positional_dim)
+    return encode_graph_tensor(store, TOY_ENCODER, sub)[0].data[0]
+
+
+def reference_link_auc(store, graph, fraction, seed):
+    """AUC of one evaluation run, removing each positive edge by copying the
+    graph, with the sampling order of ``evaluate_link_prediction``."""
+    rng = np.random.default_rng(seed)
+    num_test = max(1, int(round(fraction * len(graph.edges))))
+    chosen = rng.choice(len(graph.edges), size=num_test, replace=False)
+    negatives = []
+    while len(negatives) < num_test:
+        u, v = int(rng.integers(graph.num_nodes)), int(rng.integers(graph.num_nodes))
+        key = (min(u, v), max(u, v))
+        if u != v and key not in set(graph.edges):
+            negatives.append(key)
+    run_cfg = _node_sampler_cfg(TOY_SAMPLER, seed)
+    scores = []
+    for i in chosen:
+        u, v = graph.edges[int(i)]
+        pruned = graph.without_edge(u, v)
+        scores.append(link_score(reference_embedding(store, pruned, u, run_cfg),
+                                 reference_embedding(store, pruned, v, run_cfg)))
+    for u, v in negatives:
+        scores.append(link_score(reference_embedding(store, graph, u, run_cfg),
+                                 reference_embedding(store, graph, v, run_cfg)))
+    return auc(scores, [True] * num_test + [False] * num_test)
+
+
+class TestAgainstPerNodeReference:
+    """Batched, tape-free evaluation returns exactly the figures of encoding
+    one subgraph at a time on a copied graph."""
+
+    def test_link_prediction(self, trained_model, target_graph):
+        for store in (trained_model.store, ParamStore.initialize(TOY_ENCODER, seed=3)):
+            result = evaluate_link_prediction(store, TOY_ENCODER, target_graph,
+                                              TOY_SAMPLER, test_fraction=0.3,
+                                              num_runs=2, base_seed=4)
+            assert [r.value for r in result.runs] == [
+                reference_link_auc(store, target_graph, 0.3, seed) for seed in (4, 5)]
+
+    def test_node_classification(self, trained_model, target_graph, label_prompts):
+        labeled = np.flatnonzero(target_graph.labels >= 0)
+        mapping = prompt_index_map(target_graph, label_prompts)
+        for store in (trained_model.store, ParamStore.initialize(TOY_ENCODER, seed=3)):
+            result = evaluate_node_classification(store, TOY_ENCODER, target_graph,
+                                                  label_prompts, TOY_SAMPLER,
+                                                  test_fraction=0.5, num_runs=2,
+                                                  base_seed=1)
+            for run in result.runs:
+                nodes = np.random.default_rng(run.seed).choice(
+                    labeled, size=int(round(0.5 * labeled.size)), replace=False)
+                run_cfg = _node_sampler_cfg(TOY_SAMPLER, run.seed)
+                correct = sum(
+                    zero_shot_classify(reference_embedding(store, target_graph, int(n),
+                                                           run_cfg), label_prompts)[0]
+                    == mapping[target_graph.labels[n]] for n in nodes)
+                assert run.value == correct / len(nodes)
 
 
 class TestPromptTune:

@@ -148,3 +148,35 @@ class TestEngine:
         ad.tsum(ad.mul(c, x)).backward()
         assert c.grad is None
         np.testing.assert_allclose(x.grad, [1.0, 1.0])
+
+
+class TestNoGrad:
+    def test_records_no_parents(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with ad.no_grad():
+            y = ad.tsum(ad.mul(x, x))
+        assert y._parents == () and y._backward is None
+        assert y.item() == 3.0
+        with pytest.raises(ValidationError):
+            y.backward()
+        assert np.all(x.grad == 0.0)
+
+    def test_nests_and_restores(self):
+        x = Tensor(np.ones(2), requires_grad=True)
+        with ad.no_grad():
+            with ad.no_grad():
+                inner = ad.mul(x, x)
+            outer = ad.mul(x, x)
+        assert inner._parents == () and outer._parents == ()
+        ad.tsum(ad.mul(x, x)).backward()
+        np.testing.assert_allclose(x.grad, [2.0, 2.0])
+
+    def test_restored_after_exception(self):
+        x = Tensor(np.ones(2), requires_grad=True)
+        with pytest.raises(RuntimeError):
+            with ad.no_grad():
+                raise RuntimeError("boom")
+        y = ad.mul(x, x)
+        assert y._parents == (x, x)
+        ad.tsum(y).backward()
+        np.testing.assert_allclose(x.grad, [2.0, 2.0])

@@ -1,11 +1,18 @@
 """Command-line surface: artifacts, exit codes, determinism."""
 
 import json
+import re
+import struct
 
 import pytest
 
 from tagsum.adapt import save_label_prompt_asset
-from tagsum.cli import EXIT_GATE, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
+from tagsum.cli import (
+    DEFAULT_CONFIG, EXIT_GATE, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, _apply_dotted,
+    UNSET_TYPES, _merge, main,
+)
+from tagsum.encoder import CHECKPOINT_MAGIC
+from tagsum.errors import ValidationError
 from tagsum.graphs import save_graph
 from tagsum.synthetic import (
     CLASS_DESCRIPTIONS,
@@ -254,3 +261,82 @@ class TestErrors:
                          "--out", str(tmp_path / f"out_{key}"), "--shots", "0",
                          *SMALL])
             assert code == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("header", [
+        [], {}, {"format_version": 1, "config": {"layers": "x"}, "tensors": []},
+    ], ids=["list", "empty-object", "string-layers"])
+    def test_malformed_checkpoint_header_is_validation_error(self, workdir, tmp_path,
+                                                             capsys, header):
+        blob = json.dumps(header).encode()
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(blob)) + blob)
+        code = main(["eval-lp", "--graph", str(workdir / "graph.tsv"),
+                     "--checkpoint", str(bad), "--out", str(tmp_path / "out"), *SMALL])
+        assert code == EXIT_VALIDATION
+        parsed = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert parsed["code"] == EXIT_VALIDATION
+
+    def test_mistyped_override_names_the_key(self, tmp_path, capsys):
+        code = main(["grad-check", "--out", str(tmp_path / "g"),
+                     "--gradcheck.trials", "abc"])
+        assert code == EXIT_VALIDATION
+        parsed = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert "gradcheck.trials" in parsed["error"]
+
+    def test_mistyped_config_file_section_names_the_key(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"theory": 5}))
+        code = main(["theory", "--config", str(config), "--out", str(tmp_path / "t")])
+        assert code == EXIT_VALIDATION
+        parsed = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert "'theory'" in parsed["error"]
+
+
+class TestConfigTypes:
+    def test_int_accepted_for_float(self):
+        merged = _merge(DEFAULT_CONFIG, {"optimizer": {"lr": 1}})
+        assert merged["optimizer"]["lr"] == 1
+
+    def test_every_unset_default_has_a_type(self):
+        unset = [f"{section}.{key}" for section, values in DEFAULT_CONFIG.items()
+                 if isinstance(values, dict)
+                 for key, value in values.items() if value is None]
+        assert sorted(unset) == sorted(UNSET_TYPES)
+
+    def test_unset_default_takes_none_or_its_type(self):
+        for value in (None, 12):
+            assert _merge(DEFAULT_CONFIG, {"corpus": {"num_seeds": value}})[
+                "corpus"]["num_seeds"] == value
+        assert _merge(DEFAULT_CONFIG, {"paths": {"graph": "g.tsv"}})[
+            "paths"]["graph"] == "g.tsv"
+        for override in ({"corpus": {"num_seeds": "abc"}}, {"paths": {"graph": 5}}):
+            with pytest.raises(ValidationError, match="num_seeds|paths.graph"):
+                _merge(DEFAULT_CONFIG, override)
+
+    @pytest.mark.parametrize("override, key", [
+        ({"sampler": 3}, "sampler"),
+        ({"encoder": {"layers": 2.5}}, "encoder.layers"),
+        ({"encoder": {"layers": True}}, "encoder.layers"),
+        ({"corpus": {"mock": 1}}, "corpus.mock"),
+        ({"theory": {"t_grid": [0.0, "a"]}}, "theory.t_grid[1]"),
+        ({"theory": {"classifier_grid": [[1.0, None]]}}, "theory.classifier_grid[0][1]"),
+    ])
+    def test_file_values_checked(self, override, key):
+        with pytest.raises(ValidationError, match=re.escape(repr(key))):
+            _merge(DEFAULT_CONFIG, override)
+
+    def test_dotted_overrides_checked(self):
+        config = _merge(DEFAULT_CONFIG, {})
+        _apply_dotted(config, "pretrain.epsilon", "0")
+        _apply_dotted(config, "corpus.model", "123")
+        _apply_dotted(config, "paths.graph", "5")
+        assert config["paths"]["graph"] == "5"
+        _apply_dotted(config, "sampler", '{"node_budget": 4}')
+        assert config["pretrain"]["epsilon"] == 0
+        assert config["corpus"]["model"] == "123"
+        assert config["sampler"]["node_budget"] == 4
+        assert config["sampler"]["max_steps"] == 256
+        for dotted, raw in (("gradcheck.trials", "abc"), ("sampler", "5"),
+                            ("sampler", '{"node_budget": "x"}')):
+            with pytest.raises(ValidationError, match="gradcheck.trials|sampler"):
+                _apply_dotted(config, dotted, raw)

@@ -1,16 +1,23 @@
 """Graph encoder: invariances, presets, checkpoints."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tagsum.autodiff as ad
 from tagsum.autodiff import Tensor
 from tagsum.encoder import (
+    CHECKPOINT_MAGIC,
     GraphEncoderConfig,
     ParamStore,
     encode_batch,
     encode_graph,
     encode_graph_tensor,
+    encode_subgraphs,
     load_checkpoint,
     pad_batch,
     parameter_count,
@@ -19,7 +26,7 @@ from tagsum.encoder import (
     save_checkpoint,
     sentence_encoder_parameter_count,
 )
-from tagsum.errors import ShapeError, ValidationError
+from tagsum.errors import ShapeError, TagsumError, ValidationError
 from tagsum.graphs import EgoSubgraph, with_positional_encodings
 from tagsum.losses import contrastive_loss_tensor
 
@@ -119,6 +126,37 @@ class TestPaddedBatch:
         for i, sub in enumerate(subs):
             assert np.all(x.grad[i, sub.num_nodes:] == 0.0)
         assert x.grad.shape == (len(subs), 8, CFG.text_dim)
+
+
+class TestEncodeSubgraphs:
+    def test_matches_the_tape_on_mixed_sizes(self):
+        store = ParamStore.initialize(CFG, seed=4)
+        subs = [random_subgraph(n, CFG, seed=10 + n) for n in (3, 8, 1, 5, 8, 2)]
+        offset = np.random.default_rng(5).normal(size=CFG.text_dim)
+        for feature_offset in (None, offset):
+            got = encode_subgraphs(store, CFG, subs, feature_offset)
+            assert got.shape == (len(subs), CFG.text_dim)
+            for row, sub in zip(got, subs):
+                features = sub.features if feature_offset is None \
+                    else sub.features + feature_offset
+                want, _ = encode_graph_tensor(store, CFG, sub, Tensor(features))
+                assert np.max(np.abs(row - want.data[0])) <= 1e-12
+
+    def test_records_no_tape(self):
+        store = ParamStore.initialize(CFG, seed=4)
+        created = []
+        init = Tensor.__init__
+
+        def counting(tensor, *args, **kwargs):
+            init(tensor, *args, **kwargs)
+            created.append(tensor)
+        Tensor.__init__ = counting
+        try:
+            encode_subgraphs(store, CFG, [random_subgraph(4, CFG), random_subgraph(2, CFG)])
+        finally:
+            Tensor.__init__ = init
+        assert created and all(t._parents == () and t._backward is None for t in created)
+        assert all(np.all(t.grad == 0.0) for t in store.tensors.values())
 
 
 class TestParamStore:
@@ -228,3 +266,54 @@ class TestCheckpoint:
         save_checkpoint(path, store, CFG)
         loaded, cfg, _ = load_checkpoint(path)
         np.testing.assert_array_equal(before, encode_graph(loaded, cfg, sub).vector)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats(allow_nan=False)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12)
+
+
+def _valid_checkpoint_parts():
+    """(header dict, tensor bytes) of a valid one-layer checkpoint."""
+    cfg = GraphEncoderConfig(layers=1, hidden=2, heads=1, positional_dim=1, text_dim=1)
+    store = ParamStore.initialize(cfg, seed=1)
+    header = {"format_version": 1, "metadata": {},
+              "config": {"layers": 1, "hidden": 2, "heads": 1,
+                         "positional_dim": 1, "text_dim": 1},
+              "tensors": [{"name": n, "shape": list(store[n].data.shape)}
+                          for n in store.names()]}
+    blob = b"".join(store[n].data.astype("<f8").tobytes() for n in store.names())
+    return header, blob
+
+
+VALID_HEADER, VALID_BLOB = _valid_checkpoint_parts()
+
+
+@st.composite
+def framed_headers(draw):
+    """A correct length prefix around a JSON header: either any JSON value or
+    a valid header with one field replaced, then the valid tensor bytes or
+    arbitrary ones."""
+    header = dict(VALID_HEADER)
+    if draw(st.booleans()):
+        header[draw(st.sampled_from(sorted(header) + ["extra"]))] = draw(JSON_VALUES)
+    elif draw(st.booleans()):
+        header = draw(JSON_VALUES)
+    blob = json.dumps(header).encode()
+    tail = draw(st.sampled_from([VALID_BLOB, VALID_BLOB[:-1], b""]) | st.binary(max_size=64))
+    return struct.pack("<I", len(blob)) + blob + tail
+
+
+class TestCheckpointProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(body=st.binary(max_size=64) | framed_headers())
+    def test_any_bytes_after_magic_load_or_raise_tagsum_error(self, tmp_path_factory, body):
+        path = tmp_path_factory.getbasetemp() / "fuzz.bin"
+        path.write_bytes(CHECKPOINT_MAGIC + body)
+        try:
+            load_checkpoint(path)
+        except TagsumError:
+            pass

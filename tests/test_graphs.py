@@ -15,6 +15,7 @@ from tagsum.graphs import (
     save_graph,
     with_positional_encodings,
 )
+from tagsum.synthetic import make_synthetic_tag
 
 
 def write_graph_file(tmp_path, body):
@@ -168,6 +169,35 @@ def stationary_distribution(graph, seed, restart_prob):
     rhs = np.zeros(n)
     rhs[seed] = restart_prob
     return np.linalg.solve(np.eye(n) - (1 - restart_prob) * w, rhs)
+
+
+class TestExcludedEdge:
+    @pytest.mark.parametrize("cfg", [SamplerConfig(node_budget=8, max_steps=64, rng_seed=3),
+                                     SamplerConfig(restart_prob=0.2, node_budget=16,
+                                                   max_steps=256, rng_seed=11)])
+    def test_matches_sampling_on_the_copied_graph(self, cfg):
+        graph = make_synthetic_tag(120, seed=5, intra_edge_prob=0.08,
+                                   inter_edge_prob=0.01)
+        graph = TextAttributedGraph.from_edges(
+            graph.num_nodes, graph.edges, graph.raw_text,
+            features=np.random.default_rng(0).normal(size=(graph.num_nodes, 3)))
+        picks = np.random.default_rng(1).choice(len(graph.edges), size=60, replace=False)
+        for index in picks:
+            u, v = graph.edges[int(index)]
+            pruned = graph.without_edge(u, v)
+            for node in (u, v):
+                for edge in ((u, v), (v, u)):
+                    got = rwr_sample(graph, node, cfg, exclude=edge)
+                    want = rwr_sample(pruned, node, cfg)
+                    assert got.global_ids == want.global_ids
+                    assert got.edges == want.edges
+                    assert got.center_local_id == want.center_local_id
+                    np.testing.assert_array_equal(got.features, want.features)
+
+    @pytest.mark.parametrize("edge", [(0, 2), (1, 1), (0, 9), (-1, 0)])
+    def test_absent_edge_rejected(self, tiny_graph, edge):
+        with pytest.raises(ValidationError):
+            rwr_sample(tiny_graph, 0, SamplerConfig(), exclude=edge)
 
 
 class TestRwrDistribution:

@@ -5,10 +5,12 @@ picks the nearest one by cosine similarity (ties break to the lowest class
 id). Link prediction scores an edge as the cosine of its endpoints'
 subgraph embeddings; the sampler excludes the scored edge, so neither
 endpoint sees it and the graph is never copied. Evaluation samples and
-encodes nodes in fixed-size chunks, each one padded batch with no autodiff
-tape. Prompt tuning learns a single shared feature offset added to every
-node feature, trained with a supervised contrastive loss against label
-sentences while both towers stay frozen.
+encodes nodes in fixed-size chunks: each chunk's padded batch is built
+straight from the graph by ``encoder.sample_batch`` and encoded with no
+autodiff tape. Prompt tuning learns a single shared feature offset added to
+every node feature, trained with a supervised contrastive loss against label
+sentences while both towers stay frozen; each epoch's batch comes from
+``sample_batch`` too.
 """
 
 from __future__ import annotations
@@ -22,14 +24,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .encoder import GraphEncoderConfig, ParamStore, encode_batch, encode_subgraphs, pad_batch
+from .encoder import GraphEncoderConfig, ParamStore, embed_batch, encode_batch, sample_batch
 from .errors import ValidationError
-from .graphs import (
-    SamplerConfig,
-    TextAttributedGraph,
-    rwr_sample,
-    with_positional_encodings,
-)
+from .graphs import SamplerConfig, TextAttributedGraph
 from .losses import supervised_contrastive_loss_tensor
 from .pretrain import AdamW, OptimizerConfig
 from .prompts import render_label_sentence
@@ -161,12 +158,9 @@ def _embed_nodes(
     out = np.empty((len(nodes), config.text_dim))
     for start in range(0, len(nodes), INFERENCE_CHUNK):
         stop = min(start + INFERENCE_CHUNK, len(nodes))
-        subs = [with_positional_encodings(
-                    rwr_sample(graph, int(nodes[i]), sampler_cfg,
-                               exclude=None if excluded is None else excluded[i]),
-                    config.positional_dim)
-                for i in range(start, stop)]
-        out[start:stop] = encode_subgraphs(store, config, subs, feature_offset)
+        batch = sample_batch(config, graph, nodes[start:stop], sampler_cfg,
+                             None if excluded is None else excluded[start:stop])
+        out[start:stop] = embed_batch(store, config, batch, feature_offset)
     return out
 
 
@@ -209,7 +203,7 @@ def evaluate_node_classification(
     """
     if graph.labels is None or graph.class_names is None:
         raise ValidationError("target graph needs labels and class names")
-    labeled = np.array([i for i in range(graph.num_nodes) if graph.labels[i] >= 0])
+    labeled = np.flatnonzero(graph.labels >= 0)
     if labeled.size == 0:
         raise ValidationError("graph has no labeled nodes")
 
@@ -372,8 +366,9 @@ def make_few_shot_split(
             raise ValidationError(f"class {c} has too few nodes for {shots} shots")
         picked = rng.choice(members, size=shots, replace=False)
         train.extend(int(i) for i in picked)
+    chosen = set(train)
     test = [i for i in range(graph.num_nodes)
-            if graph.labels[i] >= 0 and i not in set(train)]
+            if graph.labels[i] >= 0 and i not in chosen]
     return FewShotSplit(shots=shots, train_ids=tuple(sorted(train)),
                         test_ids=tuple(sorted(test)), seed=seed)
 
@@ -430,10 +425,7 @@ def prompt_tune(
         # Fresh subgraph draws per epoch keep sigma from overfitting one
         # sample of each shot's neighborhood.
         epoch_cfg = _node_sampler_cfg(sampler_cfg, split.seed * 1009 + epoch)
-        batch = pad_batch(config, [
-            with_positional_encodings(rwr_sample(graph, node, epoch_cfg),
-                                      config.positional_dim)
-            for node in split.train_ids])
+        batch = sample_batch(config, graph, split.train_ids, epoch_cfg)
         # sigma also lands on padded slots, which the encoder ignores.
         z, _ = encode_batch(store, config, batch, ad.add(Tensor(batch.features), sigma))
         loss = supervised_contrastive_loss_tensor(

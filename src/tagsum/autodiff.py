@@ -317,7 +317,7 @@ def gelu(a) -> Tensor:
     """Tanh-form GELU; smooth everywhere, which keeps finite differences honest."""
     a = as_tensor(a)
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * x ** 3)
+    inner = _GELU_C * (x + 0.044715 * (x * x * x))
     t = np.tanh(inner)
     out_data = 0.5 * x * (1.0 + t)
 

@@ -80,29 +80,36 @@ def write_pairs(path, pairs: Iterable[GraphSummaryPair], append: bool = False) -
 
 def read_pairs(path) -> list[GraphSummaryPair]:
     """Read and validate a JSON-lines pair dataset."""
-    pairs = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"bad JSON: {exc.msg}", line=lineno) from None
-            for name, kind in _PAIR_FIELDS.items():
-                if name not in record:
-                    raise ParseError(f"missing field {name!r}", line=lineno)
-                if not isinstance(record[name], kind):
-                    raise ParseError(
-                        f"field {name!r} should be {kind.__name__}, got "
-                        f"{type(record[name]).__name__}",
-                        line=lineno,
-                    )
-            try:
-                pairs.append(GraphSummaryPair(**{k: record[k] for k in _PAIR_FIELDS}))
-            except ValidationError as exc:
-                raise ParseError(str(exc), line=lineno) from None
-    return pairs
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return [_parse_pair(line, lineno)
+                    for lineno, line in enumerate(handle, start=1) if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8: {exc.reason}") from None
+
+
+def _parse_pair(line: str, lineno: int) -> GraphSummaryPair:
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"bad JSON: {exc.msg}", line=lineno) from None
+    except RecursionError:
+        raise ParseError("bad JSON: nested too deeply", line=lineno) from None
+    if not isinstance(record, dict):
+        raise ParseError(f"expected a JSON object, got {type(record).__name__}", line=lineno)
+    for name, kind in _PAIR_FIELDS.items():
+        if name not in record:
+            raise ParseError(f"missing field {name!r}", line=lineno)
+        if not isinstance(record[name], kind):
+            raise ParseError(
+                f"field {name!r} should be {kind.__name__}, got "
+                f"{type(record[name]).__name__}",
+                line=lineno,
+            )
+    try:
+        return GraphSummaryPair(**{k: record[k] for k in _PAIR_FIELDS})
+    except ValidationError as exc:
+        raise ParseError(str(exc), line=lineno) from None
 
 
 @dataclass(frozen=True)

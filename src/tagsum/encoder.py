@@ -29,7 +29,15 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ShapeError, ValidationError
-from .graphs import EgoSubgraph
+from .graphs import (
+    EgoSubgraph,
+    SamplerConfig,
+    TextAttributedGraph,
+    batched_rwpe,
+    degree_normalized,
+    induced_edges,
+    rwr_nodes,
+)
 from .textenc import Embedding
 
 CHECKPOINT_MAGIC = b"TAGSUMCK"
@@ -221,8 +229,42 @@ def pad_batch(config: GraphEncoderConfig, subgraphs: list[EgoSubgraph]) -> Padde
         k = sub.num_nodes
         features[i, :k], positional[i, :k] = sub.features, sub.positional
         adjacency[i, :k, :k] = sub.adjacency_matrix()
-    degree = adjacency.sum(axis=2, keepdims=True)
-    return PaddedBatch(features, positional, adjacency / np.maximum(degree, 1.0), sizes)
+    return PaddedBatch(features, positional, degree_normalized(adjacency), sizes)
+
+
+def sample_batch(
+    config: GraphEncoderConfig,
+    graph: TextAttributedGraph,
+    nodes,
+    sampler_cfg: SamplerConfig,
+    excluded=None,
+) -> PaddedBatch:
+    """Sample each node's ego-subgraph and stack them, with positional
+    encodings, into one padded batch built straight from the graph.
+
+    Every field equals ``pad_batch(config, [with_positional_encodings(
+    rwr_sample(graph, node, sampler_cfg, exclude), config.positional_dim)])``
+    over the nodes; only the walks run per node. ``excluded[i]`` is an edge
+    left out when sampling ``nodes[i]``, or None.
+    """
+    if graph.features is None or graph.features.shape[1] != config.text_dim:
+        shape = None if graph.features is None else graph.features.shape
+        raise ShapeError(f"graph features: expected (n, {config.text_dim}), got {shape}")
+    if excluded is None:
+        excluded = [None] * len(nodes)
+    node_sets = [rwr_nodes(graph, int(node), sampler_cfg, exclude)
+                 for node, exclude in zip(nodes, excluded)]
+    sizes = np.array([len(ids) for ids in node_sets])
+    b, n = len(node_sets), int(sizes.max())
+    real = np.arange(n) < sizes[:, None]
+    features = np.zeros((b, n, config.text_dim))
+    features[real] = graph.features[np.concatenate(node_sets)]
+    which, local_u, local_v = induced_edges(graph, node_sets, excluded)
+    adjacency = np.zeros((b, n, n))
+    adjacency[which, local_u, local_v] = adjacency[which, local_v, local_u] = 1.0
+    neighbor_mean = degree_normalized(adjacency)
+    positional = batched_rwpe(neighbor_mean, sizes, config.positional_dim)
+    return PaddedBatch(features, positional, neighbor_mean, sizes)
 
 
 def encode_batch(
@@ -300,6 +342,23 @@ def encode_graph_tensor(
     return out, x_input
 
 
+def embed_batch(
+    store: ParamStore,
+    config: GraphEncoderConfig,
+    batch: PaddedBatch,
+    feature_offset: np.ndarray | None = None,
+) -> np.ndarray:
+    """Inference: unit-norm embeddings (B, d) of a padded batch, with no tape.
+
+    ``feature_offset`` is added to every node's feature row; prompt tuning
+    evaluates with its learned offset here.
+    """
+    features = batch.features if feature_offset is None else batch.features + feature_offset
+    with ad.no_grad():
+        out, _ = encode_batch(store, config, batch, Tensor(features))
+    return out.data
+
+
 def encode_subgraphs(
     store: ParamStore,
     config: GraphEncoderConfig,
@@ -307,16 +366,8 @@ def encode_subgraphs(
     feature_offset: np.ndarray | None = None,
 ) -> np.ndarray:
     """Inference: unit-norm embeddings (B, d) of subgraphs encoded as one
-    padded batch with no tape.
-
-    ``feature_offset`` is added to every node's feature row; prompt tuning
-    evaluates with its learned offset here.
-    """
-    batch = pad_batch(config, subgraphs)
-    features = batch.features if feature_offset is None else batch.features + feature_offset
-    with ad.no_grad():
-        out, _ = encode_batch(store, config, batch, Tensor(features))
-    return out.data
+    padded batch with no tape (``embed_batch`` of ``pad_batch``)."""
+    return embed_batch(store, config, pad_batch(config, subgraphs), feature_offset)
 
 
 def encode_graph(

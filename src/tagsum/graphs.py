@@ -18,6 +18,7 @@ distinct labels; per-node label ids index into that list (-1 = unlabeled).
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -27,6 +28,8 @@ import numpy as np
 from .errors import ParseError, ValidationError
 
 _MASK64 = (1 << 64) - 1
+# Uniforms drawn per refill of a walk's generator (see ``_uniforms``).
+_UNIFORM_BLOCK = 64
 
 
 def _freeze(array: np.ndarray | None) -> np.ndarray | None:
@@ -96,17 +99,21 @@ class TextAttributedGraph:
         )
 
     @cached_property
-    def neighbors(self) -> tuple[np.ndarray, ...]:
-        """Sorted neighbor array per node."""
-        lists: list[list[int]] = [[] for _ in range(self.num_nodes)]
-        for u, v in self.edges:
-            lists[u].append(v)
-            lists[v].append(u)
-        return tuple(np.array(sorted(ns), dtype=np.int64) for ns in lists)
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Neighbor lists in compressed rows ``(indptr, indices)``: node v's
+        sorted neighbors are ``indices[indptr[v]:indptr[v + 1]]``."""
+        ends = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+        src = np.concatenate([ends[:, 0], ends[:, 1]])
+        dst = np.concatenate([ends[:, 1], ends[:, 0]])
+        indptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=self.num_nodes), out=indptr[1:])
+        return _freeze(indptr), _freeze(dst[np.lexsort((dst, src))])
 
     @cached_property
-    def degrees(self) -> np.ndarray:
-        return np.array([len(ns) for ns in self.neighbors], dtype=np.int64)
+    def neighbors(self) -> tuple[np.ndarray, ...]:
+        """Sorted neighbor array per node (views into ``csr``)."""
+        indptr, indices = self.csr
+        return tuple(indices[indptr[v]:indptr[v + 1]] for v in range(self.num_nodes))
 
     def without_edge(self, u: int, v: int) -> "TextAttributedGraph":
         """Copy of the graph with one undirected edge removed."""
@@ -157,11 +164,10 @@ class EgoSubgraph:
 
     def adjacency_matrix(self) -> np.ndarray:
         """Dense symmetric 0/1 adjacency over local indices."""
-        n = self.num_nodes
-        a = np.zeros((n, n), dtype=np.float64)
-        for u, v in self.edges:
-            a[u, v] = 1.0
-            a[v, u] = 1.0
+        a = np.zeros((self.num_nodes, self.num_nodes), dtype=np.float64)
+        if self.edges:
+            u, v = np.array(self.edges).T
+            a[u, v] = a[v, u] = 1.0
         return a
 
 
@@ -186,7 +192,10 @@ class SamplerConfig:
 def load_graph(path) -> TextAttributedGraph:
     """Read the edge-list-with-text format documented in the module docstring."""
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8: {exc.reason} at byte {exc.start}") from None
     if not lines:
         raise ParseError("empty file", line=1)
     try:
@@ -337,60 +346,145 @@ class _PrunedNeighbors:
         return self._base[node] if pruned is None else pruned
 
 
-def rwr_sample(
+def _uniforms(rng: np.random.Generator):
+    """The generator's uniform stream, drawn ``_UNIFORM_BLOCK`` at a time.
+
+    ``rng.random(k)`` yields the same values as k scalar draws, so blocks
+    change no walk; they only bound how far ahead of it the generator runs.
+    """
+    while True:
+        yield from rng.random(_UNIFORM_BLOCK).tolist()
+
+
+def rwr_nodes(
     graph: TextAttributedGraph,
     seed_node: int,
     cfg: SamplerConfig,
     exclude: tuple[int, int] | None = None,
-) -> EgoSubgraph:
-    """Sample an ego-subgraph by random walk with restart.
+) -> tuple[int, ...]:
+    """Sorted node ids visited by a random walk with restart from the seed.
 
     The walk runs until ``node_budget`` distinct nodes were visited or
-    ``max_steps`` transitions elapsed; the returned subgraph is the subgraph
-    induced on the visited set (always containing the seed). Deterministic
-    given (graph, seed_node, cfg).
+    ``max_steps`` transitions elapsed, and always contains the seed. Each
+    transition draws the same uniforms as ``rwr_step``. Deterministic given
+    (graph, seed_node, cfg).
 
-    ``exclude`` names an edge of the graph to leave out: the walk and the
-    induced edges are exactly those of sampling on
-    ``graph.without_edge(*exclude)``, without copying the graph.
+    ``exclude`` names an edge of the graph to leave out: the walk is exactly
+    that on ``graph.without_edge(*exclude)``, without copying the graph.
     """
     if graph.num_nodes == 0:
         raise ValidationError("cannot sample from an empty graph")
     if not 0 <= seed_node < graph.num_nodes:
         raise ValidationError(f"seed node {seed_node} out of range")
 
-    rng = _sampler_rng(cfg, seed_node)
+    draw = _uniforms(_sampler_rng(cfg, seed_node)).__next__
     neighbors = graph.neighbors if exclude is None else _PrunedNeighbors(graph, exclude)
+    restart_prob, budget = cfg.restart_prob, cfg.node_budget
     visited = {seed_node}
     current = seed_node
     for _ in range(cfg.max_steps):
-        if len(visited) >= cfg.node_budget:
+        if len(visited) >= budget:
             break
-        current = rwr_step(neighbors, current, seed_node, cfg.restart_prob, rng)
+        if draw() < restart_prob:
+            current = seed_node
+        else:
+            local = neighbors[current]
+            current = int(local[int(draw() * len(local))]) if len(local) else seed_node
         visited.add(current)
+    return tuple(sorted(visited))
 
-    global_ids = tuple(sorted(visited))
-    local = {g: i for i, g in enumerate(global_ids)}
-    edges = set()
-    for g in global_ids:
-        for w in neighbors[g]:
-            w = int(w)
-            if w in local:
-                a, b = local[g], local[w]
-                if a < b:
-                    edges.add((a, b))
 
+def induced_edges(
+    graph: TextAttributedGraph,
+    node_sets,
+    excluded=None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edges of the subgraphs induced on each of ``node_sets`` (sorted ids).
+
+    Returns int64 arrays ``(batch, local_u, local_v)``: edge ``(local_u[j],
+    local_v[j])`` of subgraph ``batch[j]`` in local indices, ``local_u <
+    local_v``, sorted by (batch, local_u, local_v). ``excluded[i]``, when
+    given and not None, is a graph edge left out of subgraph i.
+    """
+    indptr, indices = graph.csr
+    sizes = np.array([len(ids) for ids in node_sets], dtype=np.int64)
+    first = np.cumsum(sizes) - sizes                       # offset of each set
+    ids = np.fromiter(itertools.chain.from_iterable(node_sets), dtype=np.int64,
+                      count=int(sizes.sum()))
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    # One entry per (member, neighbor) pair, members in order, neighbors sorted.
+    starts = indptr[ids]
+    counts = indptr[ids + 1] - starts
+    source = np.repeat(np.arange(ids.size), counts)
+    neighbor = indices[np.arange(source.size) + np.repeat(starts - np.cumsum(counts) + counts,
+                                                          counts)]
+    batch = owner[source]
+    # Sets are sorted and disjoint in key space, so one searchsorted over
+    # (set, id) keys tests membership and gives the neighbor's local index.
+    keys = owner * graph.num_nodes + ids
+    wanted = batch * graph.num_nodes + neighbor
+    position = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
+    local_u, local_v = source - first[batch], position - first[batch]
+    keep = (keys[position] == wanted) & (local_u < local_v)
+    if excluded is not None:
+        # Local order follows id order, so a kept pair has ids[source] < neighbor.
+        ends = np.array([(-1, -1) if e is None else (min(e), max(e)) for e in excluded],
+                        dtype=np.int64).reshape(-1, 2)[batch]
+        keep &= (ids[source] != ends[:, 0]) | (neighbor != ends[:, 1])
+    return batch[keep], local_u[keep], local_v[keep]
+
+
+def rwr_sample(
+    graph: TextAttributedGraph,
+    seed_node: int,
+    cfg: SamplerConfig,
+    exclude: tuple[int, int] | None = None,
+) -> EgoSubgraph:
+    """Sample an ego-subgraph by random walk with restart: the subgraph
+    induced on ``rwr_nodes(graph, seed_node, cfg, exclude)``, without the
+    excluded edge."""
+    global_ids = rwr_nodes(graph, seed_node, cfg, exclude)
+    _, local_u, local_v = induced_edges(graph, [global_ids],
+                                        None if exclude is None else [exclude])
     if graph.features is not None:
         features = np.array(graph.features[list(global_ids)], dtype=np.float64)
     else:
         features = np.zeros((len(global_ids), 0), dtype=np.float64)
-
     return EgoSubgraph(
-        center_local_id=local[seed_node],
+        center_local_id=global_ids.index(seed_node),
         global_ids=global_ids,
         features=features,
-        edges=tuple(sorted(edges)),
+        edges=tuple(zip(local_u.tolist(), local_v.tolist())),
     )
+
+
+def degree_normalized(adjacency: np.ndarray) -> np.ndarray:
+    """D^-1 A over the last two axes; rows of isolated or padded nodes stay zero."""
+    return adjacency / np.maximum(adjacency.sum(axis=-1, keepdims=True), 1.0)
+
+
+def batched_rwpe(transition: np.ndarray, sizes: np.ndarray, num_powers: int) -> np.ndarray:
+    """Random-walk positional encodings of a padded batch, (B, n_max, num_powers).
+
+    ``transition`` is the (B, n_max, n_max) degree-normalized adjacency and
+    subgraph b fills its first ``sizes[b]`` slots. Entry (b, v, k) is the
+    diagonal of the (k+1)-th power of subgraph b's transition matrix; padded
+    slots stay zero. Powers are taken per size bucket on unpadded (B_k, k, k)
+    stacks, so each subgraph's values do not depend on what it is batched
+    with (padding changes the matrix-product blocking in the last bit).
+    """
+    if num_powers < 1:
+        raise ValidationError("num_powers must be >= 1")
+    out = np.zeros(transition.shape[:2] + (num_powers,))
+    for k in sorted(set(sizes.tolist())):
+        members = np.flatnonzero(sizes == k)
+        step = np.ascontiguousarray(transition[members, :k, :k])
+        power = step
+        for p in range(num_powers):
+            if p:
+                power = power @ step
+            out[members, :k, p] = np.einsum("bii->bi", power)
+    return out
 
 
 def rwpe(sub: EgoSubgraph, num_powers: int) -> np.ndarray:
@@ -399,19 +493,8 @@ def rwpe(sub: EgoSubgraph, num_powers: int) -> np.ndarray:
     Entry (v, k) is the diagonal of the k-th power of the degree-normalized
     adjacency D^-1 A, for k = 1..num_powers. Isolated nodes get zero rows.
     """
-    if num_powers < 1:
-        raise ValidationError("num_powers must be >= 1")
-    n = sub.num_nodes
-    a = sub.adjacency_matrix()
-    deg = a.sum(axis=1)
-    inv = np.where(deg > 0, 1.0 / np.where(deg > 0, deg, 1.0), 0.0)
-    transition = inv[:, None] * a
-    out = np.zeros((n, num_powers), dtype=np.float64)
-    power = np.eye(n)
-    for k in range(num_powers):
-        power = power @ transition
-        out[:, k] = np.diag(power)
-    return out
+    transition = degree_normalized(sub.adjacency_matrix())
+    return batched_rwpe(transition[None], np.array([sub.num_nodes]), num_powers)[0]
 
 
 def with_positional_encodings(sub: EgoSubgraph, num_powers: int) -> EgoSubgraph:

@@ -59,6 +59,18 @@ class TestElementwise:
     def test_tanh_gelu(self):
         check(lambda t: ad.tsum(ad.tanh(t[0]) + ad.gelu(t[0])), [(5,5)], seed=1)
 
+    def test_gelu_cube_by_multiplication_matches_pow(self):
+        # x * x * x and x ** 3 differ in the last bit only. The output is
+        # bounded relative to |x|, not to itself: near x = -3, 1 + tanh
+        # cancels and a last-bit change in the tanh argument moves the tiny
+        # output by up to ~4e-14 of its own size.
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal(100_000) * 10.0 ** rng.uniform(-6, 3, 100_000)
+        cube = x ** 3
+        assert np.max(np.abs(x * x * x - cube) / np.abs(cube)) <= 1e-15
+        reference = 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * cube)))
+        assert np.max(np.abs(ad.gelu(x).data - reference) / np.abs(x)) <= 1e-15
+
 
 class TestMatmulShapes:
     def test_2d(self):

@@ -292,6 +292,26 @@ class TestErrors:
         assert "'theory'" in parsed["error"]
 
 
+    def test_graph_not_utf8_is_validation_error(self, tmp_path, capsys):
+        graph = tmp_path / "latin1.tsv"
+        graph.write_bytes(b"2\n0\t-\tcaf\xe9\n1\t-\tb\n0\t1\n")
+        code = main(["sample", "--graph", str(graph), "--out", str(tmp_path / "s")])
+        assert code == EXIT_VALIDATION
+        parsed = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert "UTF-8" in parsed["error"]
+
+    @pytest.mark.parametrize("tail", [b"5\n", b'{"summary": "caf\xe9"}\n'],
+                             ids=["number-line", "not-utf8"])
+    def test_malformed_pairs_are_validation_errors(self, workdir, corpus, tmp_path,
+                                                   capsys, tail):
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_bytes(corpus.read_bytes() + tail)
+        code = main(["pretrain", "--graph", str(workdir / "graph.tsv"),
+                     "--pairs", str(pairs), "--out", str(tmp_path / "p"), *SMALL])
+        assert code == EXIT_VALIDATION
+        parsed = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert parsed["code"] == EXIT_VALIDATION
+
 class TestConfigTypes:
     def test_int_accepted_for_float(self):
         merged = _merge(DEFAULT_CONFIG, {"optimizer": {"lr": 1}})

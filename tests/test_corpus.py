@@ -5,6 +5,8 @@ import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tagsum.corpus import (
     GraphSummaryPair,
@@ -18,7 +20,7 @@ from tagsum.corpus import (
     token_count,
     write_pairs,
 )
-from tagsum.errors import ParseError, ValidationError
+from tagsum.errors import ParseError, TagsumError, ValidationError
 from tagsum.graphml import ACADEMIC_SCHEMA
 from tagsum.graphs import SamplerConfig, TextAttributedGraph
 
@@ -83,6 +85,57 @@ class TestDatasetIo:
         with pytest.raises(ParseError) as err:
             read_pairs(path)
         assert "seed_id" in str(err.value) and "line 1" in str(err.value)
+
+
+    @pytest.mark.parametrize("line", ["5", "[]", '"text"', "null"])
+    def test_non_object_line_is_parse_error(self, tmp_path, line):
+        path = tmp_path / "pairs.jsonl"
+        write_pairs(path, [make_pair(0)])
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(line + "\n")
+        with pytest.raises(ParseError) as err:
+            read_pairs(path)
+        assert err.value.line == 2
+
+    def test_not_utf8_is_parse_error(self, tmp_path):
+        path = tmp_path / "pairs.jsonl"
+        write_pairs(path, [make_pair(0)])
+        path.write_bytes(path.read_bytes() + b'{"summary": "caf\xe9"}\n')
+        with pytest.raises(ParseError, match="UTF-8"):
+            read_pairs(path)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def pair_lines(draw):
+    """One JSON line: a valid record, one with a field replaced, or any value."""
+    record = {name: getattr(make_pair(3), name) for name in
+              ("graph_id", "seed_id", "sampler_seed", "domain", "summary", "token_count")}
+    if draw(st.booleans()):
+        record[draw(st.sampled_from(sorted(record)))] = draw(JSON_VALUES)
+    elif draw(st.booleans()):
+        record = draw(JSON_VALUES)
+    return json.dumps(record).encode("utf-8")
+
+
+class TestReadPairsProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(body=st.binary(max_size=96)
+           | st.lists(pair_lines() | st.binary(max_size=16), max_size=4)
+           .map(b"\n".join))
+    def test_any_bytes_load_or_raise_tagsum_error(self, tmp_path_factory, body):
+        path = tmp_path_factory.getbasetemp() / "fuzz.jsonl"
+        path.write_bytes(body)
+        try:
+            read_pairs(path)
+        except TagsumError:
+            pass
 
 
 class TestSplitNodeText:

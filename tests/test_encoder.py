@@ -14,6 +14,7 @@ from tagsum.encoder import (
     CHECKPOINT_MAGIC,
     GraphEncoderConfig,
     ParamStore,
+    embed_batch,
     encode_batch,
     encode_graph,
     encode_graph_tensor,
@@ -23,12 +24,20 @@ from tagsum.encoder import (
     parameter_count,
     preset_config,
     preset_total_parameter_count,
+    sample_batch,
     save_checkpoint,
     sentence_encoder_parameter_count,
 )
 from tagsum.errors import ShapeError, TagsumError, ValidationError
-from tagsum.graphs import EgoSubgraph, with_positional_encodings
+from tagsum.graphs import (
+    EgoSubgraph,
+    SamplerConfig,
+    TextAttributedGraph,
+    rwr_sample,
+    with_positional_encodings,
+)
 from tagsum.losses import contrastive_loss_tensor
+from tagsum.synthetic import make_synthetic_tag
 
 CFG = GraphEncoderConfig(layers=2, hidden=16, heads=4, positional_dim=4, text_dim=6)
 
@@ -157,6 +166,69 @@ class TestEncodeSubgraphs:
             Tensor.__init__ = init
         assert created and all(t._parents == () and t._backward is None for t in created)
         assert all(np.all(t.grad == 0.0) for t in store.tensors.values())
+
+
+class TestSampleBatch:
+    @pytest.fixture(scope="class")
+    def graph(self):
+        base = make_synthetic_tag(160, seed=8, intra_edge_prob=0.1, inter_edge_prob=0.01)
+        return TextAttributedGraph.from_edges(
+            base.num_nodes, base.edges, base.raw_text,
+            features=np.random.default_rng(8).normal(size=(base.num_nodes, CFG.text_dim)))
+
+    @staticmethod
+    def assert_equals_reference(graph, nodes, cfg, excluded):
+        got = sample_batch(CFG, graph, nodes, cfg, excluded)
+        want = pad_batch(CFG, [
+            with_positional_encodings(rwr_sample(graph, node, cfg, edge), CFG.positional_dim)
+            for node, edge in zip(nodes, excluded or [None] * len(nodes))])
+        for name in ("features", "positional", "neighbor_mean", "sizes"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+        return got
+
+    @pytest.mark.parametrize("budget, restart_prob", [(1, 0.5), (8, 0.3), (16, 0.7), (30, 0.7)])
+    def test_equals_pad_batch_of_sampled_subgraphs(self, graph, budget, restart_prob):
+        cfg = SamplerConfig(restart_prob=restart_prob, node_budget=budget, max_steps=400,
+                            rng_seed=budget)
+        rng = np.random.default_rng(budget)
+        for _ in range(6):
+            nodes, excluded = [], []
+            for _ in range(int(rng.integers(1, 17))):
+                u, v = graph.edges[int(rng.integers(len(graph.edges)))]
+                kind = int(rng.integers(3))      # free node, or an endpoint of its left-out edge
+                nodes.append(int(rng.integers(graph.num_nodes)) if kind == 0 else (u, v)[kind - 1])
+                excluded.append(None if kind == 0 else ((u, v) if rng.random() < 0.5 else (v, u)))
+            self.assert_equals_reference(graph, nodes, cfg, excluded)
+            self.assert_equals_reference(graph, nodes, cfg, None)
+
+    def test_mixed_sizes_in_one_batch(self, graph):
+        cfg = SamplerConfig(restart_prob=0.7, node_budget=30, max_steps=400, rng_seed=2)
+        nodes = list(range(0, 160, 5))
+        excluded = [(node, int(graph.neighbors[node][0]))
+                    if i % 2 and len(graph.neighbors[node]) else None
+                    for i, node in enumerate(nodes)]
+        assert sum(edge is not None for edge in excluded) > 10
+        batch = self.assert_equals_reference(graph, nodes, cfg, excluded)
+        assert len(set(batch.sizes.tolist())) > 3 and batch.sizes.max() == 30
+
+    def test_featureless_graph_rejected(self):
+        graph = TextAttributedGraph.from_edges(3, [(0, 1)], [""] * 3)
+        with pytest.raises(ShapeError):
+            sample_batch(CFG, graph, [0], SamplerConfig())
+
+    def test_embed_batch_is_encode_subgraphs(self, graph):
+        store = ParamStore.initialize(CFG, seed=6)
+        cfg = SamplerConfig(node_budget=12, max_steps=100)
+        offset = np.random.default_rng(1).normal(size=CFG.text_dim)
+        subs = [with_positional_encodings(rwr_sample(graph, node, cfg), CFG.positional_dim)
+                for node in (3, 40, 77)]
+        for feature_offset in (None, offset):
+            np.testing.assert_array_equal(
+                embed_batch(store, CFG, sample_batch(CFG, graph, [3, 40, 77], cfg),
+                            feature_offset),
+                encode_subgraphs(store, CFG, subs, feature_offset))
 
 
 class TestParamStore:

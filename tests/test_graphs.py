@@ -2,14 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tagsum.errors import ParseError, ValidationError
+from tagsum.errors import ParseError, TagsumError, ValidationError
 from tagsum.graphs import (
     EgoSubgraph,
     SamplerConfig,
     TextAttributedGraph,
+    induced_edges,
     load_graph,
     rwpe,
+    rwr_nodes,
     rwr_sample,
     rwr_walk,
     save_graph,
@@ -60,6 +64,12 @@ class TestLoadGraph:
             load_graph(path)
         assert "line 3" in str(err.value)
 
+    def test_not_utf8_is_parse_error(self, tmp_path):
+        path = tmp_path / "g.tsv"
+        path.write_bytes(b"1\n0\t-\tcaf\xe9\n")
+        with pytest.raises(ParseError, match="UTF-8"):
+            load_graph(path)
+
     def test_round_trip(self, tmp_path, tiny_graph):
         path = tmp_path / "round.tsv"
         save_graph(tiny_graph, path)
@@ -67,6 +77,19 @@ class TestLoadGraph:
         assert loaded.num_nodes == tiny_graph.num_nodes
         assert loaded.edges == tiny_graph.edges
         assert loaded.raw_text == tiny_graph.raw_text
+
+
+class TestLoadGraphProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(body=st.binary(max_size=96) | st.text(alphabet="0123-\t\n ab\xe9", max_size=48)
+           .map(lambda text: text.encode("utf-8")))
+    def test_any_bytes_load_or_raise_tagsum_error(self, tmp_path_factory, body):
+        path = tmp_path_factory.getbasetemp() / "fuzz.tsv"
+        path.write_bytes(body)
+        try:
+            load_graph(path)
+        except TagsumError:
+            pass
 
 
 class TestGraphInvariants:
@@ -200,6 +223,126 @@ class TestExcludedEdge:
             rwr_sample(tiny_graph, 0, SamplerConfig(), exclude=edge)
 
 
+def loop_rwr_sample(graph, seed_node, cfg, exclude=None):
+    """Frozen reference: the sampler as a scalar-draw walk plus a per-neighbor
+    induction loop, on a copy of the graph without the excluded edge."""
+    if exclude is not None:
+        graph = graph.without_edge(*exclude)
+    neighbors = [[] for _ in range(graph.num_nodes)]
+    for u, v in graph.edges:
+        neighbors[u].append(v)
+        neighbors[v].append(u)
+    neighbors = [sorted(ns) for ns in neighbors]
+    entropy = np.random.SeedSequence([cfg.rng_seed & ((1 << 64) - 1), seed_node])
+    rng = np.random.Generator(np.random.PCG64(entropy))
+    visited = {seed_node}
+    current = seed_node
+    for _ in range(cfg.max_steps):
+        if len(visited) >= cfg.node_budget:
+            break
+        if rng.random() < cfg.restart_prob or not neighbors[current]:
+            current = seed_node
+        else:
+            local = neighbors[current]
+            current = local[int(rng.random() * len(local))]
+        visited.add(current)
+    global_ids = tuple(sorted(visited))
+    local = {g: i for i, g in enumerate(global_ids)}
+    edges = set()
+    for g in global_ids:
+        for w in neighbors[g]:
+            if w in local and local[g] < local[w]:
+                edges.add((local[g], local[w]))
+    features = (np.zeros((len(global_ids), 0)) if graph.features is None
+                else np.array(graph.features[list(global_ids)], dtype=np.float64))
+    return global_ids, tuple(sorted(edges)), features, local[seed_node]
+
+
+def loop_rwpe(sub, num_powers):
+    """Frozen reference: diagonals of I @ T @ T ... one power at a time."""
+    n = sub.num_nodes
+    a = np.zeros((n, n))
+    for u, v in sub.edges:
+        a[u, v] = a[v, u] = 1.0
+    deg = a.sum(axis=1)
+    transition = np.where(deg > 0, 1.0 / np.where(deg > 0, deg, 1.0), 0.0)[:, None] * a
+    out = np.zeros((n, num_powers))
+    power = np.eye(n)
+    for k in range(num_powers):
+        power = power @ transition
+        out[:, k] = np.diag(power)
+    return out
+
+
+def assert_matches_loop(graph, node, cfg, exclude=None):
+    got = rwr_sample(graph, node, cfg, exclude=exclude)
+    ids, edges, features, center = loop_rwr_sample(graph, node, cfg, exclude)
+    assert got.global_ids == ids
+    assert got.edges == edges
+    assert got.center_local_id == center
+    assert rwr_nodes(graph, node, cfg, exclude) == ids
+    assert got.features.dtype == features.dtype
+    np.testing.assert_array_equal(got.features, features)
+    return got
+
+
+class TestAgainstLoopSampler:
+    @pytest.mark.parametrize("graph_seed", [0, 1, 2])
+    @pytest.mark.parametrize("cfg", [
+        SamplerConfig(node_budget=8, max_steps=64, rng_seed=3),
+        SamplerConfig(node_budget=16, max_steps=256, rng_seed=2**70 + 5),
+        SamplerConfig(restart_prob=0.2, node_budget=30, max_steps=1000, rng_seed=11),
+        SamplerConfig(restart_prob=0.9, node_budget=5, max_steps=5, rng_seed=1),
+    ])
+    def test_equal_with_and_without_exclusion(self, graph_seed, cfg):
+        base = make_synthetic_tag(120, seed=graph_seed, intra_edge_prob=0.05 + 0.03 * graph_seed,
+                                  inter_edge_prob=0.01)
+        graph = TextAttributedGraph.from_edges(
+            base.num_nodes, base.edges, base.raw_text,
+            features=np.random.default_rng(graph_seed).normal(size=(base.num_nodes, 3)))
+        for node in range(0, graph.num_nodes, 7):
+            assert_matches_loop(graph, node, cfg)
+        for index in np.random.default_rng(graph_seed).choice(len(graph.edges), 12,
+                                                             replace=False):
+            u, v = graph.edges[int(index)]
+            assert_matches_loop(graph, u, cfg, exclude=(u, v))
+            assert_matches_loop(graph, v, cfg, exclude=(u, v))
+
+    def test_isolated_seed_and_featureless_graph(self):
+        graph = TextAttributedGraph.from_edges(5, [(0, 1), (1, 2), (3, 4)], [""] * 5)
+        cfg = SamplerConfig(node_budget=4, max_steps=40, rng_seed=9)
+        got = assert_matches_loop(graph, 2, cfg, exclude=(1, 2))
+        assert got.global_ids == (2,) and got.features.shape == (1, 0)
+        for node in range(5):
+            assert_matches_loop(graph, node, cfg)
+            assert_matches_loop(graph, node, cfg, exclude=(3, 4))
+
+    def test_million_steps_on_three_nodes(self):
+        # The budget exceeds the graph, so the walk runs every step.
+        graph = TextAttributedGraph.from_edges(3, [(0, 1), (1, 2)], [""] * 3)
+        cfg = SamplerConfig(node_budget=4, max_steps=10**6, rng_seed=4)
+        assert assert_matches_loop(graph, 0, cfg).global_ids == (0, 1, 2)
+
+
+class TestInducedEdges:
+    def test_batch_equals_one_at_a_time(self):
+        graph = make_synthetic_tag(80, seed=4, intra_edge_prob=0.15, inter_edge_prob=0.02)
+        rng = np.random.default_rng(0)
+        node_sets = [tuple(sorted(rng.choice(80, size=int(k), replace=False).tolist()))
+                     for k in rng.integers(1, 25, size=12)]
+        excluded = [graph.edges[int(rng.integers(len(graph.edges)))] if i % 3 else None
+                    for i in range(len(node_sets))]
+        batch, local_u, local_v = induced_edges(graph, node_sets, excluded)
+        for i, (ids, edge) in enumerate(zip(node_sets, excluded)):
+            pruned = graph if edge is None else graph.without_edge(*edge)
+            inside = {g: j for j, g in enumerate(ids)}
+            want = sorted((inside[u], inside[v]) for u, v in pruned.edges
+                          if u in inside and v in inside)
+            mine = batch == i
+            assert list(zip(local_u[mine].tolist(), local_v[mine].tolist())) == want
+        assert np.all(np.diff(batch) >= 0)
+
+
 class TestRwrDistribution:
     def test_path_graph_matches_linear_system(self):
         # 10^5 independent walks; final positions after 25 steps are
@@ -262,6 +405,15 @@ class TestRwpe:
         sub = rwr_sample(tiny_graph, 0, SamplerConfig(node_budget=4, max_steps=50))
         sub = with_positional_encodings(sub, 7)
         assert sub.positional.shape == (len(sub.global_ids), 7)
+
+    def test_equals_the_identity_power_loop(self):
+        graph = make_synthetic_tag(150, seed=6, intra_edge_prob=0.1, inter_edge_prob=0.01)
+        for budget in (1, 2, 8, 16, 30, 48):
+            cfg = SamplerConfig(node_budget=budget, max_steps=400, rng_seed=budget)
+            for node in range(0, graph.num_nodes, 5):
+                sub = rwr_sample(graph, node, cfg)
+                for powers in (1, 8, 16):
+                    assert rwpe(sub, powers).tobytes() == loop_rwpe(sub, powers).tobytes()
 
     def test_rejects_zero_powers(self):
         sub = EgoSubgraph(0, (0,), np.zeros((1, 0)), ())

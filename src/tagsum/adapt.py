@@ -164,6 +164,13 @@ def _embed_nodes(
     return out
 
 
+def _check_runs(test_fraction: float, num_runs: int) -> None:
+    if not 0.0 < test_fraction <= 1.0:
+        raise ValidationError(f"test fraction must lie in (0, 1], got {test_fraction!r}")
+    if num_runs < 1:
+        raise ValidationError(f"number of runs must be >= 1, got {num_runs!r}")
+
+
 @dataclass
 class EvalRun:
     seed: int
@@ -194,13 +201,13 @@ def evaluate_node_classification(
     test_fraction: float = 0.2,
     num_runs: int = 5,
     base_seed: int = 0,
-    feature_offset: np.ndarray | None = None,
 ) -> EvalResult:
     """Zero-shot accuracy over ``num_runs`` random test splits (mean and std).
 
     Each run draws a fresh ``test_fraction`` of the labeled nodes and a fresh
     sampler stream; runs are deterministic in (base_seed, run index).
     """
+    _check_runs(test_fraction, num_runs)
     if graph.labels is None or graph.class_names is None:
         raise ValidationError("target graph needs labels and class names")
     labeled = np.flatnonzero(graph.labels >= 0)
@@ -214,8 +221,7 @@ def evaluate_node_classification(
         num_test = max(1, int(round(test_fraction * labeled.size)))
         test_nodes = rng.choice(labeled, size=num_test, replace=False)
         result.runs.append(EvalRun(seed=seed, value=_accuracy(
-            store, config, graph, labels, sampler_cfg, test_nodes, seed,
-            feature_offset)))
+            store, config, graph, labels, sampler_cfg, test_nodes, seed)))
     return result
 
 
@@ -281,6 +287,7 @@ def evaluate_link_prediction(
     Both endpoints of a scored positive edge are sampled with that edge
     excluded, so the score never sees the edge it predicts.
     """
+    _check_runs(test_fraction, num_runs)
     if not graph.edges:
         raise ValidationError("graph has no edges")
     edge_set = set(graph.edges)
@@ -327,11 +334,6 @@ class PromptVector:
     def save(self, path) -> None:
         Path(path).write_text(
             json.dumps({"values": self.values.tolist()}) + "\n", encoding="utf-8")
-
-    @classmethod
-    def load(cls, path) -> "PromptVector":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(values=np.asarray(data["values"], dtype=np.float64))
 
 
 @dataclass(frozen=True)

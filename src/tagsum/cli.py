@@ -301,7 +301,7 @@ def cmd_gen_corpus(cfg: dict, run: RunDir) -> int:
     else:
         client = corpus_mod.HttpLlmClient(corpus_mod.LlmClientConfig(
             endpoint=c["endpoint"], model=c["model"], max_tokens=c["max_tokens"],
-            timeout=c["timeout"], retries=c["retries"], api_key_env=c["api_key_env"],
+            timeout=c["timeout"], api_key_env=c["api_key_env"],
         ))
     seeds = range(c["num_seeds"]) if c["num_seeds"] else None
     out_path = run.path / "pairs.jsonl"

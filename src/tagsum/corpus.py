@@ -13,15 +13,14 @@ import json
 import os
 import re
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import requests
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, parse_json_object
 from .graphml import GraphMLSchema, emit_graphml, parse_graphml
 from .graphs import EgoSubgraph, SamplerConfig, TextAttributedGraph, rwr_sample
 from .prompts import DOMAINS, render_summary_prompt
@@ -89,14 +88,7 @@ def read_pairs(path) -> list[GraphSummaryPair]:
 
 
 def _parse_pair(line: str, lineno: int) -> GraphSummaryPair:
-    try:
-        record = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad JSON: {exc.msg}", line=lineno) from None
-    except RecursionError:
-        raise ParseError("bad JSON: nested too deeply", line=lineno) from None
-    if not isinstance(record, dict):
-        raise ParseError(f"expected a JSON object, got {type(record).__name__}", line=lineno)
+    record = parse_json_object(line, lineno)
     for name, kind in _PAIR_FIELDS.items():
         if name not in record:
             raise ParseError(f"missing field {name!r}", line=lineno)
@@ -120,13 +112,9 @@ class LlmClientConfig:
     model: str = ""
     max_tokens: int = 500
     timeout: float = 30.0
-    retries: int = 2
-    min_interval: float = 0.0
     api_key_env: str = "TAGSUM_API_KEY"
 
     def __post_init__(self):
-        if self.retries < 0:
-            raise ValidationError("retries must be >= 0")
         if self.max_tokens <= 0:
             raise ValidationError("max_tokens must be positive")
 
@@ -140,14 +128,9 @@ class HttpLlmClient:
             raise ValidationError("endpoint required for HTTP client")
         self.config = config
         self._session = session or requests.Session()
-        self._last_call = 0.0
 
     def complete(self, prompt: str) -> str:
         cfg = self.config
-        if cfg.min_interval > 0:
-            wait = self._last_call + cfg.min_interval - time.monotonic()
-            if wait > 0:
-                time.sleep(wait)
         headers = {"Content-Type": "application/json"}
         token = os.environ.get(cfg.api_key_env, "")
         if token:
@@ -160,7 +143,6 @@ class HttpLlmClient:
         response = self._session.post(
             cfg.endpoint, json=payload, headers=headers, timeout=cfg.timeout
         )
-        self._last_call = time.monotonic()
         response.raise_for_status()
         body = response.json()
         try:
@@ -176,12 +158,7 @@ class MockLlmClient:
     """Deterministic offline stand-in: summarizes the GraphML embedded in the
     prompt by echoing the seed node's first attribute and its neighbors'."""
 
-    def __init__(self, fn: Callable[[str], str] | None = None):
-        self._fn = fn
-
     def complete(self, prompt: str) -> str:
-        if self._fn is not None:
-            return self._fn(prompt)
         start = prompt.find("<?xml")
         if start < 0:
             raise ValidationError("prompt carries no GraphML document")
@@ -263,6 +240,8 @@ def generate_pairs(
     """
     if domain not in DOMAINS:
         raise ValidationError(f"unknown domain {domain!r}")
+    if retries < 0:
+        raise ValidationError("retries must be >= 0")
     out_path = Path(out_path)
     if seeds is None:
         seeds = range(graph.num_nodes)

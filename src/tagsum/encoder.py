@@ -359,25 +359,13 @@ def embed_batch(
     return out.data
 
 
-def encode_subgraphs(
-    store: ParamStore,
-    config: GraphEncoderConfig,
-    subgraphs: list[EgoSubgraph],
-    feature_offset: np.ndarray | None = None,
-) -> np.ndarray:
-    """Inference: unit-norm embeddings (B, d) of subgraphs encoded as one
-    padded batch with no tape (``embed_batch`` of ``pad_batch``)."""
-    return embed_batch(store, config, pad_batch(config, subgraphs), feature_offset)
-
-
 def encode_graph(
     store: ParamStore,
     config: GraphEncoderConfig,
     sub: EgoSubgraph,
-    feature_offset: np.ndarray | None = None,
 ) -> Embedding:
     """Encode one subgraph to a unit-norm embedding (a batch of one)."""
-    vector = encode_subgraphs(store, config, [sub], feature_offset)[0]
+    vector = embed_batch(store, config, pad_batch(config, [sub]))[0]
     return Embedding(vector=vector, normalized=True)
 
 

@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types, and the JSON-lines record decoder that raises them."""
+
+import json
 
 
 class TagsumError(Exception):
@@ -32,3 +34,17 @@ class NonFiniteLossError(TagsumError, ArithmeticError):
     def __init__(self, message, dump=None):
         super().__init__(message)
         self.dump = dump or {}
+
+
+def parse_json_object(text: str, line: int) -> dict:
+    """Decode one JSON-lines record that must be an object; anything else
+    raises ``ParseError`` naming the line."""
+    try:
+        record = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"bad JSON: {exc.msg}", line=line) from None
+    except RecursionError:
+        raise ParseError("bad JSON: nested too deeply", line=line) from None
+    if not isinstance(record, dict):
+        raise ParseError(f"expected a JSON object, got {type(record).__name__}", line=line)
+    return record

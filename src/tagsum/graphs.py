@@ -289,20 +289,18 @@ def _sampler_rng(cfg: SamplerConfig, seed_node: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(entropy))
 
 
-def rwr_step(
-    neighbors: tuple[np.ndarray, ...],
-    current: int,
-    seed_node: int,
-    restart_prob: float,
-    rng: np.random.Generator,
-) -> int:
-    """One transition of the restart walk. Dead ends restart unconditionally."""
-    if rng.random() < restart_prob:
-        return seed_node
-    local = neighbors[current]
-    if len(local) == 0:
-        return seed_node
-    return int(local[int(rng.random() * len(local))])
+def _walk(neighbors, seed_node: int, restart_prob: float, draw):
+    """Positions of a random walk with restart from the seed, one per
+    transition. ``draw()`` returns the next uniform: one decides the restart,
+    a second picks the neighbor. Dead ends restart unconditionally."""
+    current = seed_node
+    while True:
+        if draw() < restart_prob:
+            current = seed_node
+        else:
+            local = neighbors[current]
+            current = int(local[int(draw() * len(local))]) if len(local) else seed_node
+        yield current
 
 
 def rwr_walk(
@@ -313,13 +311,8 @@ def rwr_walk(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Positions visited after each of ``num_steps`` transitions from the seed."""
-    neighbors = graph.neighbors
-    positions = np.empty(num_steps, dtype=np.int64)
-    current = seed_node
-    for t in range(num_steps):
-        current = rwr_step(neighbors, current, seed_node, restart_prob, rng)
-        positions[t] = current
-    return positions
+    walk = _walk(graph.neighbors, seed_node, restart_prob, rng.random)
+    return np.fromiter(itertools.islice(walk, num_steps), dtype=np.int64, count=num_steps)
 
 
 class _PrunedNeighbors:
@@ -365,9 +358,9 @@ def rwr_nodes(
     """Sorted node ids visited by a random walk with restart from the seed.
 
     The walk runs until ``node_budget`` distinct nodes were visited or
-    ``max_steps`` transitions elapsed, and always contains the seed. Each
-    transition draws the same uniforms as ``rwr_step``. Deterministic given
-    (graph, seed_node, cfg).
+    ``max_steps`` transitions elapsed, and always contains the seed. It is
+    ``rwr_walk`` on the per-node generator ``_sampler_rng(cfg, seed_node)``,
+    cut at the budget. Deterministic given (graph, seed_node, cfg).
 
     ``exclude`` names an edge of the graph to leave out: the walk is exactly
     that on ``graph.without_edge(*exclude)``, without copying the graph.
@@ -377,20 +370,16 @@ def rwr_nodes(
     if not 0 <= seed_node < graph.num_nodes:
         raise ValidationError(f"seed node {seed_node} out of range")
 
-    draw = _uniforms(_sampler_rng(cfg, seed_node)).__next__
     neighbors = graph.neighbors if exclude is None else _PrunedNeighbors(graph, exclude)
-    restart_prob, budget = cfg.restart_prob, cfg.node_budget
+    walk = _walk(neighbors, seed_node, cfg.restart_prob,
+                 _uniforms(_sampler_rng(cfg, seed_node)).__next__)
+    budget = cfg.node_budget
     visited = {seed_node}
-    current = seed_node
-    for _ in range(cfg.max_steps):
-        if len(visited) >= budget:
-            break
-        if draw() < restart_prob:
-            current = seed_node
-        else:
-            local = neighbors[current]
-            current = int(local[int(draw() * len(local))]) if len(local) else seed_node
-        visited.add(current)
+    if budget > 1:                      # else the seed alone fills the budget
+        for current in itertools.islice(walk, cfg.max_steps):
+            visited.add(current)
+            if len(visited) >= budget:
+                break
     return tuple(sorted(visited))
 
 

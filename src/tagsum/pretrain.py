@@ -54,7 +54,6 @@ class PerturbationState:
     epsilon: float = 1e-2
     norm_p: float = 2.0
     inner_steps: int = 3
-    step_size: float | None = None
 
     def __post_init__(self):
         if self.epsilon < 0:
@@ -66,7 +65,8 @@ class PerturbationState:
 
     @property
     def alpha(self) -> float:
-        return self.step_size if self.step_size is not None else self.epsilon / self.inner_steps
+        """Ascent step size: M steps can just reach the epsilon sphere."""
+        return self.epsilon / self.inner_steps
 
 
 def block_norms(delta: np.ndarray, norm_p: float) -> np.ndarray:
@@ -96,13 +96,14 @@ def ascent_direction(grad: np.ndarray, norm_p: float) -> np.ndarray:
 class OptimizerConfig:
     lr: float = 1e-5
     weight_decay: float = 1e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 class AdamW:
     """Decoupled weight decay Adam over a named tensor dict."""
+
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
 
     def __init__(self, tensors: dict[str, Tensor], config: OptimizerConfig):
         self.tensors = tensors
@@ -113,16 +114,17 @@ class AdamW:
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         cfg = self.config
+        beta1, beta2 = self.BETA1, self.BETA2
         self.step_count += 1
         t = self.step_count
         for name in sorted(self.tensors):
             g = grads[name]
-            self.m[name] = cfg.beta1 * self.m[name] + (1 - cfg.beta1) * g
-            self.v[name] = cfg.beta2 * self.v[name] + (1 - cfg.beta2) * (g * g)
-            m_hat = self.m[name] / (1 - cfg.beta1 ** t)
-            v_hat = self.v[name] / (1 - cfg.beta2 ** t)
+            self.m[name] = beta1 * self.m[name] + (1 - beta1) * g
+            self.v[name] = beta2 * self.v[name] + (1 - beta2) * (g * g)
+            m_hat = self.m[name] / (1 - beta1 ** t)
+            v_hat = self.v[name] / (1 - beta2 ** t)
             data = self.tensors[name].data
-            data -= cfg.lr * (m_hat / (np.sqrt(v_hat) + cfg.eps)
+            data -= cfg.lr * (m_hat / (np.sqrt(v_hat) + self.EPS)
                               + cfg.weight_decay * data)
 
 
@@ -273,7 +275,6 @@ def pretrain(
     sampler_cfg: SamplerConfig | None = None,
     out_dir=None,
     checkpoint_every: int = 1,
-    init_seed: int | None = None,
 ) -> PretrainResult:
     """Full pretraining loop: deterministic given ``seed``.
 
@@ -296,8 +297,7 @@ def pretrain(
                                       graph_config.positional_dim)
     summary_matrix = np.vstack([text_encoder.encode(p.summary).vector for p in pairs])
 
-    store = ParamStore.initialize(graph_config,
-                                  seed=seed if init_seed is None else init_seed)
+    store = ParamStore.initialize(graph_config, seed=seed)
     optimizer = AdamW(store.tensors, optimizer_config)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0xB41C])))
 

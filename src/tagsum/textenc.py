@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ParseError, ValidationError, parse_json_object
 from .graphs import TextAttributedGraph
 
 
@@ -95,6 +95,23 @@ class HashTextEncoder:
         return hashlib.sha256(f"hash:{self.dim}".encode()).hexdigest()
 
 
+def _parse_table_record(line: str, lineno: int) -> tuple[str, np.ndarray]:
+    record = parse_json_object(line, lineno)
+    key, vector = record.get("sha256"), record.get("vector")
+    if not isinstance(key, str):
+        raise ParseError("field 'sha256' should be a string", line=lineno)
+    if not (isinstance(vector, list) and vector
+            and all(type(x) in (int, float) for x in vector)):
+        raise ParseError("field 'vector' should be a nonempty list of numbers", line=lineno)
+    try:
+        vec = np.array(vector, dtype=np.float64)
+    except OverflowError:
+        raise ParseError("field 'vector' has an entry out of float range", line=lineno) from None
+    if not np.all(np.isfinite(vec)):
+        raise ParseError("field 'vector' has a non-finite entry", line=lineno)
+    return key, vec
+
+
 class TableTextEncoder:
     """Closed lookup table of precomputed embeddings."""
 
@@ -104,23 +121,24 @@ class TableTextEncoder:
 
     @classmethod
     def from_file(cls, path) -> "TableTextEncoder":
-        """Load JSONL records ``{"sha256": hex, "vector": [...]}``."""
+        """Load JSONL records ``{"sha256": hex, "vector": [...]}``; a line that
+        is not such a record raises ``ParseError`` naming the line."""
         table: dict[str, np.ndarray] = {}
         dim = None
-        with open(path, encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                if not line.strip():
-                    continue
-                record = json.loads(line)
-                vec = np.asarray(record["vector"], dtype=np.float64)
-                if dim is None:
-                    dim = vec.shape[0]
-                elif vec.shape[0] != dim:
-                    raise ValidationError(
-                        f"line {lineno}: vector dim {vec.shape[0]} != {dim}"
-                    )
-                vec.flags.writeable = False
-                table[record["sha256"]] = vec
+        try:
+            with open(path, encoding="utf-8") as handle:
+                for lineno, line in enumerate(handle, start=1):
+                    if not line.strip():
+                        continue
+                    key, vec = _parse_table_record(line, lineno)
+                    if dim is None:
+                        dim = vec.shape[0]
+                    elif vec.shape[0] != dim:
+                        raise ParseError(f"vector dim {vec.shape[0]} != {dim}", line=lineno)
+                    vec.flags.writeable = False
+                    table[key] = vec
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8: {exc.reason}") from None
         if dim is None:
             raise ValidationError("embedding table is empty")
         return cls(table, dim)

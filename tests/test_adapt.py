@@ -291,6 +291,27 @@ def reference_link_auc(store, graph, fraction, seed):
     return auc(scores, [True] * num_test + [False] * num_test)
 
 
+class TestEvaluationArguments:
+    @pytest.mark.parametrize("test_fraction, num_runs",
+                             [(0.0, 1), (-0.5, 1), (1.5, 1), (float("nan"), 1), (0.5, 0)])
+    def test_out_of_range_rejected(self, target_graph, label_prompts, test_fraction,
+                                   num_runs):
+        store = ParamStore.initialize(TOY_ENCODER, seed=0)
+        with pytest.raises(ValidationError):
+            evaluate_link_prediction(store, TOY_ENCODER, target_graph, TOY_SAMPLER,
+                                     test_fraction=test_fraction, num_runs=num_runs)
+        with pytest.raises(ValidationError):
+            evaluate_node_classification(store, TOY_ENCODER, target_graph, label_prompts,
+                                         TOY_SAMPLER, test_fraction=test_fraction,
+                                         num_runs=num_runs)
+
+    def test_whole_edge_set_allowed(self, target_graph):
+        store = ParamStore.initialize(TOY_ENCODER, seed=0)
+        result = evaluate_link_prediction(store, TOY_ENCODER, target_graph, TOY_SAMPLER,
+                                          test_fraction=1.0, num_runs=1)
+        assert 0.0 <= result.mean <= 1.0
+
+
 class TestAgainstPerNodeReference:
     """Batched, tape-free evaluation returns exactly the figures of encoding
     one subgraph at a time on a copied graph."""

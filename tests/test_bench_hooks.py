@@ -1,0 +1,51 @@
+"""The benchmark's hooks into the package still resolve.
+
+``perfbench/tracing.py`` wraps package functions by module and name, and
+``perfbench/workloads.py`` imports entry points directly. Renaming or
+deleting one of them breaks only a traced benchmark run; these tests make it
+fail here too.
+"""
+
+import functools
+import importlib
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+
+
+def load_perfbench_module(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module      # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestTracerTargets:
+    def test_every_span_and_timed_op_resolves(self):
+        tracing = load_perfbench_module("tracing")
+        for name, (module_name, attr) in tracing.SPAN_FUNCTIONS.items():
+            assert callable(getattr(importlib.import_module(module_name), attr, None)), name
+        for name, (module_name, cls, attr) in tracing.SPAN_METHODS.items():
+            owner = getattr(importlib.import_module(module_name), cls)
+            assert callable(owner.__dict__.get(attr)), name
+        autodiff = importlib.import_module("tagsum.autodiff")
+        for op in tracing.TIMED_OPS:
+            assert callable(getattr(autodiff, op, None)), op
+        assert "__init__" in autodiff.Tensor.__dict__
+
+    def test_neighbors_is_a_cached_property(self):
+        graphs = importlib.import_module("tagsum.graphs")
+        neighbors = graphs.TextAttributedGraph.__dict__.get("neighbors")
+        assert isinstance(neighbors, functools.cached_property)
+
+
+class TestWorkloads:
+    def test_imports_cleanly(self):
+        workloads = load_perfbench_module("workloads")
+        declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+        assert set(workloads.WORKLOADS) == {w["name"] for w in declared["workloads"]}

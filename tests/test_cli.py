@@ -312,6 +312,50 @@ class TestErrors:
         parsed = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert parsed["code"] == EXIT_VALIDATION
 
+    def test_negative_retries_is_validation_error(self, workdir, tmp_path, capsys):
+        out = tmp_path / "corpus"
+        code = main(["gen-corpus", "--graph", str(workdir / "graph.tsv"), "--out", str(out),
+                     "--corpus.num_seeds", "3", "--corpus.retries", "-1", *SMALL])
+        assert code == EXIT_VALIDATION
+        parsed = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert "retries" in parsed["error"]
+        assert not (out / "pairs.jsonl").exists()
+
+    @pytest.mark.parametrize("line", [b"not json", b"[1,2]", b'{"sha256": "ab"}',
+                                      b'{"sha256": "caf\xe9", "vector": [1.0]}'],
+                             ids=["not-json", "list", "no-vector", "not-utf8"])
+    def test_malformed_table_file_is_validation_error(self, workdir, corpus, tmp_path,
+                                                      capsys, line):
+        table = tmp_path / "table.jsonl"
+        table.write_bytes(line + b"\n")
+        code = main(["pretrain", "--graph", str(workdir / "graph.tsv"),
+                     "--pairs", str(corpus), "--out", str(tmp_path / "p"), *SMALL,
+                     "--text_encoder.impl", "table",
+                     "--text_encoder.table_path", str(table)])
+        assert code == EXIT_VALIDATION
+        parsed = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert parsed["error"].startswith("line 1: ") or "UTF-8" in parsed["error"]
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("eval-lp", "adapt.link_test_fraction", "2.0"),
+        ("eval-lp", "adapt.link_test_fraction", "-1"),
+        ("eval-lp", "adapt.link_test_fraction", "0"),
+        ("eval-lp", "adapt.runs", "0"),
+        ("eval-nc", "adapt.test_fraction", "1.5"),
+        ("eval-nc", "adapt.runs", "-2"),
+    ])
+    def test_bad_evaluation_split_is_validation_error(self, workdir, checkpoint, tmp_path,
+                                                      capsys, command, key, value):
+        out = tmp_path / "e"
+        code = main([command, "--graph", str(workdir / "graph.tsv"),
+                     "--checkpoint", str(checkpoint), "--labels", str(workdir / "labels.json"),
+                     "--shots", "0", "--out", str(out), *SMALL, f"--{key}", value])
+        assert code == EXIT_VALIDATION
+        parsed = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert parsed["code"] == EXIT_VALIDATION
+        assert not (out / "report.csv").exists()
+
+
 class TestConfigTypes:
     def test_int_accepted_for_float(self):
         merged = _merge(DEFAULT_CONFIG, {"optimizer": {"lr": 1}})

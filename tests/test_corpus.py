@@ -234,6 +234,13 @@ class TestGeneratePairs:
         assert ({p.summary for p in read_pairs(tmp_path / "seq.jsonl")}
                 == {p.summary for p in read_pairs(tmp_path / "par.jsonl")})
 
+    def test_rejects_negative_retries(self, graph, tmp_path):
+        out = tmp_path / "p.jsonl"
+        with pytest.raises(ValidationError):
+            generate_pairs(graph, SAMPLER, ACADEMIC_SCHEMA, "academic",
+                           MockLlmClient(), out, retries=-1)
+        assert not out.exists()
+
 
 class TestDedup:
     def test_drops_duplicate_keys_and_summaries(self):
@@ -279,7 +286,3 @@ class TestHttpClient:
     def test_requires_endpoint(self):
         with pytest.raises(ValidationError):
             HttpLlmClient(LlmClientConfig(endpoint=""))
-
-    def test_rejects_negative_retries(self):
-        with pytest.raises(ValidationError):
-            LlmClientConfig(retries=-1)

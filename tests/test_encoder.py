@@ -18,7 +18,6 @@ from tagsum.encoder import (
     encode_batch,
     encode_graph,
     encode_graph_tensor,
-    encode_subgraphs,
     load_checkpoint,
     pad_batch,
     parameter_count,
@@ -97,17 +96,17 @@ class TestForward:
         store = ParamStore.initialize(CFG, seed=0)
         sub = random_subgraph(4, CFG)
         base = encode_graph(store, CFG, sub)
-        shifted = encode_graph(store, CFG, sub,
-                               feature_offset=np.full(CFG.text_dim, 0.3))
-        assert np.linalg.norm(base.vector - shifted.vector) > 1e-6
+        shifted = embed_batch(store, CFG, pad_batch(CFG, [sub]),
+                              feature_offset=np.full(CFG.text_dim, 0.3))[0]
+        assert np.linalg.norm(base.vector - shifted) > 1e-6
 
     def test_zero_offset_identical(self):
         store = ParamStore.initialize(CFG, seed=0)
         sub = random_subgraph(4, CFG)
         base = encode_graph(store, CFG, sub)
-        zeroed = encode_graph(store, CFG, sub,
-                              feature_offset=np.zeros(CFG.text_dim))
-        np.testing.assert_array_equal(base.vector, zeroed.vector)
+        zeroed = embed_batch(store, CFG, pad_batch(CFG, [sub]),
+                             feature_offset=np.zeros(CFG.text_dim))[0]
+        np.testing.assert_array_equal(base.vector, zeroed)
 
 
 class TestPaddedBatch:
@@ -138,12 +137,14 @@ class TestPaddedBatch:
 
 
 class TestEncodeSubgraphs:
+    """Inference over a padded batch of subgraphs: ``embed_batch`` of ``pad_batch``."""
+
     def test_matches_the_tape_on_mixed_sizes(self):
         store = ParamStore.initialize(CFG, seed=4)
         subs = [random_subgraph(n, CFG, seed=10 + n) for n in (3, 8, 1, 5, 8, 2)]
         offset = np.random.default_rng(5).normal(size=CFG.text_dim)
         for feature_offset in (None, offset):
-            got = encode_subgraphs(store, CFG, subs, feature_offset)
+            got = embed_batch(store, CFG, pad_batch(CFG, subs), feature_offset)
             assert got.shape == (len(subs), CFG.text_dim)
             for row, sub in zip(got, subs):
                 features = sub.features if feature_offset is None \
@@ -161,7 +162,8 @@ class TestEncodeSubgraphs:
             created.append(tensor)
         Tensor.__init__ = counting
         try:
-            encode_subgraphs(store, CFG, [random_subgraph(4, CFG), random_subgraph(2, CFG)])
+            embed_batch(store, CFG,
+                        pad_batch(CFG, [random_subgraph(4, CFG), random_subgraph(2, CFG)]))
         finally:
             Tensor.__init__ = init
         assert created and all(t._parents == () and t._backward is None for t in created)
@@ -218,7 +220,7 @@ class TestSampleBatch:
         with pytest.raises(ShapeError):
             sample_batch(CFG, graph, [0], SamplerConfig())
 
-    def test_embed_batch_is_encode_subgraphs(self, graph):
+    def test_embeds_like_pad_batch_of_sampled_subgraphs(self, graph):
         store = ParamStore.initialize(CFG, seed=6)
         cfg = SamplerConfig(node_budget=12, max_steps=100)
         offset = np.random.default_rng(1).normal(size=CFG.text_dim)
@@ -228,7 +230,7 @@ class TestSampleBatch:
             np.testing.assert_array_equal(
                 embed_batch(store, CFG, sample_batch(CFG, graph, [3, 40, 77], cfg),
                             feature_offset),
-                encode_subgraphs(store, CFG, subs, feature_offset))
+                embed_batch(store, CFG, pad_batch(CFG, subs), feature_offset))
 
 
 class TestParamStore:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from tagsum.errors import ParseError, TagsumError, ValidationError
 from tagsum.graphs import (
     EgoSubgraph,
+    _sampler_rng,
     SamplerConfig,
     TextAttributedGraph,
     induced_edges,
@@ -358,6 +359,50 @@ class TestRwrDistribution:
             counts[rwr_walk(graph, 1, 0.5, 25, rng)[-1]] += 1
         freq = counts / walks
         np.testing.assert_allclose(freq, expected, atol=0.01)
+
+
+def walk_cut_at_budget(graph, node, cfg):
+    """Visited set of ``rwr_walk`` on the sampler's per-node generator, cut
+    when the node budget is reached."""
+    positions = rwr_walk(graph, node, cfg.restart_prob, cfg.max_steps, _sampler_rng(cfg, node))
+    visited = {node}
+    for position in positions.tolist():
+        if len(visited) >= cfg.node_budget:
+            break
+        visited.add(position)
+    return tuple(sorted(visited))
+
+
+class TestWalkIsTheSampler:
+    """``rwr_walk``, whose visit frequencies acceptance criterion 8 checks, is
+    the walk ``rwr_nodes`` runs."""
+
+    @pytest.mark.parametrize("cfg", [
+        SamplerConfig(node_budget=8, max_steps=64, rng_seed=3),
+        SamplerConfig(node_budget=16, max_steps=256, rng_seed=2**70 + 5),
+        SamplerConfig(restart_prob=0.2, node_budget=30, max_steps=1000, rng_seed=11),
+        SamplerConfig(restart_prob=0.9, node_budget=5, max_steps=5, rng_seed=1),
+        SamplerConfig(node_budget=1, max_steps=3, rng_seed=7),
+    ])
+    def test_visited_sets_equal(self, cfg):
+        base = make_synthetic_tag(100, seed=5, intra_edge_prob=0.06, inter_edge_prob=0.01)
+        # Six trailing isolated nodes are dead ends of their own walks.
+        with_isolated = TextAttributedGraph.from_edges(
+            base.num_nodes + 6, base.edges, base.raw_text + ("",) * 6)
+        # A path with a pendant star and two isolated nodes.
+        small = TextAttributedGraph.from_edges(
+            9, [(0, 1), (1, 2), (2, 3), (3, 4), (3, 5), (3, 6)], [""] * 9)
+        for graph in (with_isolated, small):
+            for node in range(graph.num_nodes):
+                assert walk_cut_at_budget(graph, node, cfg) == rwr_nodes(graph, node, cfg)
+
+    def test_budget_beyond_the_component(self):
+        # The walk never reaches the budget, so every step is taken.
+        graph = TextAttributedGraph.from_edges(5, [(0, 1), (1, 2)], [""] * 5)
+        cfg = SamplerConfig(node_budget=4, max_steps=700, rng_seed=4)
+        for node in range(5):
+            assert walk_cut_at_budget(graph, node, cfg) == rwr_nodes(graph, node, cfg)
+        assert rwr_nodes(graph, 0, cfg) == (0, 1, 2)
 
 
 class TestRwpe:

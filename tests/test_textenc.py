@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tagsum.errors import ValidationError
+from tagsum.errors import ParseError, TagsumError, ValidationError
 from tagsum.graphs import TextAttributedGraph
 from tagsum.textenc import (
     Embedding,
@@ -72,6 +74,62 @@ class TestTableEncoder:
         a = TableTextEncoder.build(["x"], [[1.0, 0.0]])
         b = TableTextEncoder.build(["x"], [[0.0, 1.0]])
         assert a.state_checksum() != b.state_checksum()
+
+
+GOOD_RECORD = b'{"sha256": "ab", "vector": [1.0, 2.0]}\n'
+
+
+class TestTableFile:
+    @pytest.mark.parametrize("line", [
+        b"not json",
+        b"[1,2]",
+        b'{"sha256": "ab"}',
+        b'{"vector": [1.0, 2.0]}',
+        b'{"sha256": 5, "vector": [1.0, 2.0]}',
+        b'{"sha256": "cd", "vector": []}',
+        b'{"sha256": "cd", "vector": [[1.0, 2.0]]}',
+        b'{"sha256": "cd", "vector": ["a", "b"]}',
+        b'{"sha256": "cd", "vector": [true, 1.0]}',
+        b'{"sha256": "cd", "vector": [NaN, 1.0]}',
+        b'{"sha256": "cd", "vector": [1e999, 1.0]}',
+        b'{"sha256": "cd", "vector": [1' + b"0" * 400 + b', 1.0]}',
+        b'{"sha256": "cd", "vector": [1.0, 2.0, 3.0]}',
+        b"[" * 100_000,
+    ], ids=["not-json", "list", "no-vector", "no-sha256", "sha256-int", "empty-vector",
+            "nested-vector", "string-entries", "bool-entry", "nan-entry", "inf-entry",
+            "huge-int-entry", "dim-mismatch", "deep-nesting"])
+    def test_bad_line_is_parse_error_naming_it(self, tmp_path, line):
+        path = tmp_path / "table.jsonl"
+        path.write_bytes(GOOD_RECORD + b"\n" + line + b"\n")
+        with pytest.raises(ParseError) as err:
+            TableTextEncoder.from_file(path)
+        assert err.value.line == 3
+
+    def test_not_utf8_is_parse_error(self, tmp_path):
+        path = tmp_path / "table.jsonl"
+        path.write_bytes(GOOD_RECORD + b'{"sha256": "caf\xe9", "vector": [1.0, 2.0]}\n')
+        with pytest.raises(ParseError, match="UTF-8"):
+            TableTextEncoder.from_file(path)
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "table.jsonl"
+        path.write_bytes(b"\n\n")
+        with pytest.raises(ValidationError):
+            TableTextEncoder.from_file(path)
+
+
+class TestTableFileProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(body=st.binary(max_size=96) | st.text(
+        alphabet='{}[]":,0123.e-ab sha256vector\n\xe9', max_size=64)
+        .map(lambda text: text.encode("utf-8")))
+    def test_any_bytes_load_or_raise_tagsum_error(self, tmp_path_factory, body):
+        path = tmp_path_factory.getbasetemp() / "fuzz.jsonl"
+        path.write_bytes(body)
+        try:
+            TableTextEncoder.from_file(path)
+        except TagsumError:
+            pass
 
 
 class TestEmbeddingType:

@@ -9,8 +9,9 @@ encodes nodes in fixed-size chunks: each chunk's padded batch is built
 straight from the graph by ``encoder.sample_batch`` and encoded with no
 autodiff tape. Prompt tuning learns a single shared feature offset added to
 every node feature, trained with a supervised contrastive loss against label
-sentences while both towers stay frozen; each epoch's batch comes from
-``sample_batch`` too.
+sentences while both towers stay frozen: the tape sees the graph tower's
+weights as constants, so backward computes no tower gradient. Each epoch's
+batch comes from ``sample_batch`` too.
 """
 
 from __future__ import annotations
@@ -290,12 +291,19 @@ def evaluate_link_prediction(
     _check_runs(test_fraction, num_runs)
     if not graph.edges:
         raise ValidationError("graph has no edges")
+    num_test = max(1, int(round(test_fraction * len(graph.edges))))
+    # Edges are unique and canonical, so this counts the node pairs that are
+    # not edges. With none, the rejection sampler below never ends; with fewer
+    # than num_test, the negatives could only be repeats.
+    non_edges = graph.num_nodes * (graph.num_nodes - 1) // 2 - len(graph.edges)
+    if non_edges < num_test:
+        raise ValidationError(f"link prediction needs {num_test} non-edges as negatives; "
+                              f"the graph has {non_edges}")
     edge_set = set(graph.edges)
     result = EvalResult(metric="auc")
     for run in range(num_runs):
         seed = base_seed + run
         rng = np.random.default_rng(seed)
-        num_test = max(1, int(round(test_fraction * len(graph.edges))))
         chosen = rng.choice(len(graph.edges), size=num_test, replace=False)
         positives = [graph.edges[int(i)] for i in chosen]
         negatives = []
@@ -419,6 +427,9 @@ def prompt_tune(
     mapping = prompt_index_map(graph, labels)
     train_labels = np.array([int(mapping[graph.labels[n]]) for n in split.train_ids])
 
+    # The towers enter the tape as constants sharing the store's arrays, so
+    # backward computes no tower gradient and leaves the store's slots alone.
+    frozen = ParamStore({name: Tensor(t.data) for name, t in store.tensors.items()})
     sigma = Tensor(np.zeros(config.text_dim), requires_grad=True)
     optimizer = AdamW({"sigma": sigma},
                       OptimizerConfig(lr=lr, weight_decay=weight_decay))
@@ -429,16 +440,14 @@ def prompt_tune(
         epoch_cfg = _node_sampler_cfg(sampler_cfg, split.seed * 1009 + epoch)
         batch = sample_batch(config, graph, split.train_ids, epoch_cfg)
         # sigma also lands on padded slots, which the encoder ignores.
-        z, _ = encode_batch(store, config, batch, ad.add(Tensor(batch.features), sigma))
+        z, _ = encode_batch(frozen, config, batch, ad.add(Tensor(batch.features), sigma))
         loss = supervised_contrastive_loss_tensor(
             z, train_labels, labels.embeddings, temperature)
         sigma.zero_grad()
-        store.zero_grads()
         loss.backward()
         optimizer.step({"sigma": sigma.grad})
         losses.append(loss.item())
 
-    store.zero_grads()
     zero_acc = _accuracy(store, config, graph, labels, sampler_cfg,
                          split.test_ids, split.seed)
     tuned_acc = _accuracy(store, config, graph, labels, sampler_cfg,

@@ -6,6 +6,22 @@ Gradients accumulate into ``Tensor.grad`` slots of the leaves that were
 created with ``requires_grad=True`` (parameters and, when needed, input
 features). Inside ``no_grad()`` nothing is recorded, so inference keeps no
 tape. All data is promoted to float64.
+
+Besides the elementwise, matmul and shape ops, the module holds the numpy
+kernels that the encoder's fused sublayer ops share (see ``encoder``). A
+fused op records one tape node and returns, through ``gradients``, a
+gradient only for the parents that need one (``needs_grad``), so a frozen
+weight costs no matmul in backward. The kernels' backward formulas:
+
+- softmax over the last axis, P = softmax(S):
+  dS = P * (dP - rowsum(dP * P)) (Dao et al. 2022, FlashAttention, Alg. 2);
+- layer norm, y = g * xhat + b with xhat = (x - mean) / std:
+  dx = (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) / std,
+  where dxhat = g * dy;
+- tanh-form GELU, x * (1 + t) / 2 with t = tanh(c (x + 0.044715 x^3)):
+  d/dx = (1 + t) / 2 + x (1 - t^2) c (1 + 3 * 0.044715 x^2) / 2.
+
+``softmax``, ``layer_norm`` and ``gelu`` wrap the same kernels as single ops.
 """
 
 from __future__ import annotations
@@ -62,6 +78,8 @@ class Tensor:
 
         ``seed`` defaults to ones; a scalar loss therefore needs no argument.
         Raises if no forward computation was recorded through this tensor.
+        Only recorded nodes are ordered and buffered; a leaf's contributions
+        go straight into its ``grad`` slot.
         """
         if not self._parents:
             raise ValidationError("backward called on a tensor with no recorded forward")
@@ -78,7 +96,7 @@ class Tensor:
             visited.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
-                if id(parent) not in visited:
+                if parent._parents and id(parent) not in visited:
                     stack.append((parent, False))
 
         grads = {id(self): np.ones_like(self.data) if seed is None
@@ -87,17 +105,15 @@ class Tensor:
             grad = grads.pop(id(node), None)
             if grad is None:
                 continue
-            if node.requires_grad:
-                node.grad += grad
-            if node._backward is None:
-                continue
             for parent, contribution in node._backward(grad):
-                if parent.requires_grad or parent._parents:
+                if parent._parents:
                     existing = grads.get(id(parent))
                     if existing is None:
                         grads[id(parent)] = contribution.copy()
                     else:
                         existing += contribution
+                elif parent.requires_grad:      # a leaf: accumulate in place
+                    parent.grad += contribution
 
     # Operator sugar; every op lives as a module function below.
     def __add__(self, other):
@@ -142,6 +158,18 @@ class Tensor:
 
 def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
+
+
+def needs_grad(t: Tensor) -> bool:
+    """Whether backward routes a gradient into ``t``: it is a grad-enabled
+    leaf or has a recorded forward."""
+    return t.requires_grad or bool(t._parents)
+
+
+def gradients(*pairs) -> list:
+    """``(parent, thunk)`` pairs to the ``(parent, gradient)`` pairs of a
+    backward closure, running only the thunks of parents that need a gradient."""
+    return [(parent, thunk()) for parent, thunk in pairs if needs_grad(parent)]
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -290,16 +318,6 @@ def log(a) -> Tensor:
     return Tensor(np.log(a.data), _parents=(a,), _backward=backward)
 
 
-def sqrt(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.sqrt(a.data)
-
-    def backward(grad):
-        return ((a, grad * 0.5 / out_data),)
-
-    return Tensor(out_data, _parents=(a,), _backward=backward)
-
-
 def tanh(a) -> Tensor:
     a = as_tensor(a)
     out_data = np.tanh(a.data)
@@ -313,32 +331,48 @@ def tanh(a) -> Tensor:
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
+def gelu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tanh-form GELU of ``x`` and its tanh term, which the slope reuses."""
+    t = np.tanh(_GELU_C * (x + 0.044715 * (x * x * x)))
+    return 0.5 * x * (1.0 + t), t
+
+
+def gelu_slope(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Derivative of GELU at ``x``, given its tanh term ``t``."""
+    dinner = _GELU_C * (1.0 + 3 * 0.044715 * x ** 2)
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
+
+
 def gelu(a) -> Tensor:
     """Tanh-form GELU; smooth everywhere, which keeps finite differences honest."""
     a = as_tensor(a)
-    x = a.data
-    inner = _GELU_C * (x + 0.044715 * (x * x * x))
-    t = np.tanh(inner)
-    out_data = 0.5 * x * (1.0 + t)
+    out_data, t = gelu_forward(a.data)
 
     def backward(grad):
-        dinner = _GELU_C * (1.0 + 3 * 0.044715 * x ** 2)
-        local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
-        return ((a, grad * local),)
+        return ((a, grad * gelu_slope(a.data, t)),)
 
     return Tensor(out_data, _parents=(a,), _backward=backward)
+
+
+def softmax_forward(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, stabilized by a max shift; -inf entries
+    get probability 0."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def softmax_backward(probs: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Gradient w.r.t. the softmax input: P * (dP - rowsum(dP * P))."""
+    return probs * (grad - (grad * probs).sum(axis=-1, keepdims=True))
 
 
 def softmax(a) -> Tensor:
     """Softmax over the last axis, stabilized by a detached max shift."""
     a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=-1, keepdims=True)
+    out_data = softmax_forward(a.data)
 
     def backward(grad):
-        inner = (grad * out_data).sum(axis=-1, keepdims=True)
-        return ((a, out_data * (grad - inner)),)
+        return ((a, softmax_backward(out_data, grad)),)
 
     return Tensor(out_data, _parents=(a,), _backward=backward)
 
@@ -355,17 +389,35 @@ def logsumexp(a, axis=-1, keepdims=False) -> Tensor:
     return out
 
 
+def layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+                       eps: float = 1e-5) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Layer norm over the last axis: (output, xhat, std)."""
+    inv_width = 1.0 / x.shape[-1]
+    centered = x - x.sum(axis=-1, keepdims=True) * inv_width
+    std = np.sqrt((centered * centered).sum(axis=-1, keepdims=True) * inv_width + eps)
+    normed = centered / std
+    return normed * gain + bias, normed, std
+
+
+def layer_norm_backward(grad: np.ndarray, normed: np.ndarray, std: np.ndarray,
+                        gain: np.ndarray) -> np.ndarray:
+    """Gradient w.r.t. the layer-norm input, from the forward's xhat and std."""
+    inv_width = 1.0 / grad.shape[-1]
+    dnormed = grad * gain
+    return (dnormed - dnormed.sum(axis=-1, keepdims=True) * inv_width
+            - normed * ((dnormed * normed).sum(axis=-1, keepdims=True) * inv_width)) / std
+
+
 def layer_norm(x, gain, bias, eps=1e-5) -> Tensor:
     """Row-wise layer normalization over the last axis with learned affine."""
-    mu = tmean(x, axis=-1, keepdims=True)
-    centered = sub(x, mu)
-    var = tmean(mul(centered, centered), axis=-1, keepdims=True)
-    normed = div(centered, sqrt(add(var, as_tensor(eps))))
-    return add(mul(normed, gain), bias)
+    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
+    out_data, normed, std = layer_norm_forward(x.data, gain.data, bias.data, eps)
 
+    def backward(grad):
+        return gradients(
+            (x, lambda: layer_norm_backward(grad, normed, std, gain.data)),
+            (gain, lambda: _unbroadcast(grad * normed, gain.data.shape)),
+            (bias, lambda: _unbroadcast(grad, bias.data.shape)),
+        )
 
-def l2_normalize(x) -> Tensor:
-    """Divide by the exact L2 norm over the last axis (no epsilon: outputs are
-    unit-norm to machine precision)."""
-    norm = sqrt(tsum(mul(x, x), axis=-1, keepdims=True))
-    return div(x, norm)
+    return Tensor(out_data, _parents=(x, gain, bias), _backward=backward)

@@ -401,6 +401,8 @@ def cmd_tune(cfg: dict, run: RunDir) -> int:
     a = cfg["adapt"]
     if a["shots"] < 1:
         raise UsageError("tune requires shots >= 1; use eval-nc for zero-shot")
+    if a["runs"] < 1:
+        raise ValidationError(f"number of runs must be >= 1, got {a['runs']!r}")
     store, enc_config, text_encoder, graph = _load_eval_inputs(cfg, run)
     labels = load_label_prompt_asset(
         run.record_input(_require_path(cfg, "labels")), text_encoder)

@@ -12,11 +12,31 @@ masked batch; a single subgraph is a batch of one.
 Positional encodings are concatenated to the node features at the input
 projection. Parameters live in a ``ParamStore`` of named float64 tensors,
 each with one gradient slot.
+
+On the tape a forward is 2 + 2 * layers nodes. Each is one op whose
+forward and hand-written backward run in numpy (rows(a) flattens the batch
+axes, so every weight gradient is one matmul, rows(input)^T rows(dY)):
+
+- ``input_projection``: concat(x, pos) W + b; dx = dY W[:d]^T.
+- ``mixing_sublayer``: LN1(h + local(h) + attn(h)). Backward runs the
+  layer-norm kernel of ``autodiff``, then the output projection, then the
+  softmax identity dS = P * (dP - rowsum(dP * P)) with dP = dO V^T, and
+  dQ = dS K / sqrt(hd), dK = dS^T Q / sqrt(hd), dV = P^T dO. Q/K/V come
+  from one matmul over the concatenated weights, and so does their weight
+  gradient, split back into the ``attn_q/k/v`` slots.
+- ``ffn_sublayer``: LN2(h + W2 gelu(W1 h + b1) + b2).
+- ``readout``: masked mean pooling, projection and L2 normalization;
+  through y = p / ||p||, dp = (dy - y (y . dy)) / ||p||.
+
+An op computes a gradient only for the parents that need one
+(``autodiff.needs_grad``): a tower seen as constants, as in prompt tuning,
+costs no weight-gradient matmul.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -267,6 +287,157 @@ def sample_batch(
     return PaddedBatch(features, positional, neighbor_mean, sizes)
 
 
+MIXING_PARAMS = tuple(f"{name}.{kind}" for name in (
+    "local_self", "local_neigh", "attn_q", "attn_k", "attn_v", "attn_out")
+    for kind in ("weight", "bias")) + ("norm1.gain", "norm1.bias")
+FFN_PARAMS = ("ffn1.weight", "ffn1.bias", "ffn2.weight", "ffn2.bias",
+              "norm2.gain", "norm2.bias")
+
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    """(..., k) -> (rows, k): a batched x @ W has weight gradient rows(x).T @ rows(g)."""
+    return a.reshape(-1, a.shape[-1])
+
+
+def _real_slots(batch: PaddedBatch) -> np.ndarray:
+    return np.arange(batch.features.shape[1]) < batch.sizes[:, None]   # (B, n_max)
+
+
+def input_projection(x: Tensor, batch: PaddedBatch, store: ParamStore) -> Tensor:
+    """concat(x, positional) @ W + b, as one tape node."""
+    weight, bias = store["input.weight"], store["input.bias"]
+    inputs = np.concatenate([x.data, batch.positional], axis=2)
+    width = x.data.shape[-1]
+
+    def backward(grad):
+        return ad.gradients(
+            (x, lambda: grad @ weight.data[:width].T),
+            (weight, lambda: _rows(inputs).T @ _rows(grad)),
+            (bias, lambda: _rows(grad).sum(axis=0)),
+        )
+
+    return Tensor(inputs @ weight.data + bias.data,
+                  _parents=(x, weight, bias), _backward=backward)
+
+
+def mixing_sublayer(h: Tensor, batch: PaddedBatch, store: ParamStore, prefix: str,
+                    heads: int) -> Tensor:
+    """LN1(h + local(h) + attn(h)) as one tape node.
+
+    local(h) = h Ws + bs + (A h) Wn + bn over the degree-normalized adjacency
+    A. Attention takes Q/K/V from one matmul over the concatenated weights,
+    adds the -inf key mask of padded slots before the max-shifted softmax,
+    and ends in the output projection. The Q/K/V weight gradient is one
+    matmul, split back into the ``attn_q/k/v`` slots.
+    """
+    p = {name: store[prefix + name] for name in MIXING_PARAMS}
+    x, adjacency = h.data, batch.neighbor_mean
+    b, n, hidden = x.shape
+    head_dim = hidden // heads
+    scale = 1.0 / np.sqrt(head_dim)
+    key_mask = np.where(_real_slots(batch), 0.0, -np.inf)[:, None, None, :]
+
+    neighbors = adjacency @ x
+    local = (x @ p["local_self.weight"].data + p["local_self.bias"].data
+             + neighbors @ p["local_neigh.weight"].data + p["local_neigh.bias"].data)
+    qkv_weight = np.concatenate([p[f"attn_{c}.weight"].data for c in "qkv"], axis=1)
+    qkv_bias = np.concatenate([p[f"attn_{c}.bias"].data for c in "qkv"])
+    q, k, v = ((x @ qkv_weight + qkv_bias).reshape(b, n, 3, heads, head_dim)
+               .transpose(2, 0, 3, 1, 4))                     # each (B, heads, n, hd)
+    probs = ad.softmax_forward(q @ k.swapaxes(-1, -2) * scale + key_mask)
+    context = (probs @ v).transpose(0, 2, 1, 3).reshape(b, n, hidden)
+    attn = context @ p["attn_out.weight"].data + p["attn_out.bias"].data
+    out, normed, std = ad.layer_norm_forward(x + local + attn, p["norm1.gain"].data,
+                                             p["norm1.bias"].data)
+
+    def backward(grad):
+        dz = ad.layer_norm_backward(grad, normed, std, p["norm1.gain"].data)
+        dz_rows = _rows(dz)
+        dcontext = (dz @ p["attn_out.weight"].data.T).reshape(b, n, heads, head_dim)
+        dcontext = dcontext.transpose(0, 2, 1, 3)
+        dscores = ad.softmax_backward(probs, dcontext @ v.swapaxes(-1, -2)) * scale
+        dqkv = np.stack([dscores @ k, dscores.swapaxes(-1, -2) @ q,
+                         probs.swapaxes(-1, -2) @ dcontext])
+        dqkv = _rows(dqkv.transpose(1, 3, 0, 2, 4).reshape(b, n, 3 * hidden))
+
+        @functools.cache
+        def dqkv_params():                     # one matmul for all three weights
+            return _rows(x).T @ dqkv, dqkv.sum(axis=0)
+
+        thunks = {
+            "local_self.weight": lambda: _rows(x).T @ dz_rows,
+            "local_self.bias": lambda: dz_rows.sum(axis=0),
+            "local_neigh.weight": lambda: _rows(neighbors).T @ dz_rows,
+            "local_neigh.bias": lambda: dz_rows.sum(axis=0),
+            "attn_out.weight": lambda: _rows(context).T @ dz_rows,
+            "attn_out.bias": lambda: dz_rows.sum(axis=0),
+            "norm1.gain": lambda: _rows(grad * normed).sum(axis=0),
+            "norm1.bias": lambda: _rows(grad).sum(axis=0),
+        }
+        for i, c in enumerate("qkv"):
+            cols = slice(i * hidden, (i + 1) * hidden)
+            thunks[f"attn_{c}.weight"] = lambda cols=cols: dqkv_params()[0][:, cols]
+            thunks[f"attn_{c}.bias"] = lambda cols=cols: dqkv_params()[1][cols]
+
+        def dx():
+            return (dz + dz @ p["local_self.weight"].data.T
+                    + adjacency.swapaxes(-1, -2) @ (dz @ p["local_neigh.weight"].data.T)
+                    + (dqkv @ qkv_weight.T).reshape(b, n, hidden))
+
+        return ad.gradients((h, dx), *((p[name], thunks[name]) for name in MIXING_PARAMS))
+
+    return Tensor(out, _parents=(h, *p.values()), _backward=backward)
+
+
+def ffn_sublayer(h: Tensor, store: ParamStore, prefix: str) -> Tensor:
+    """LN2(h + W2 gelu(W1 h + b1) + b2) as one tape node."""
+    p = {name: store[prefix + name] for name in FFN_PARAMS}
+    x = h.data
+    pre = x @ p["ffn1.weight"].data + p["ffn1.bias"].data
+    act, tanh_term = ad.gelu_forward(pre)
+    out, normed, std = ad.layer_norm_forward(
+        x + (act @ p["ffn2.weight"].data + p["ffn2.bias"].data),
+        p["norm2.gain"].data, p["norm2.bias"].data)
+
+    def backward(grad):
+        dz = ad.layer_norm_backward(grad, normed, std, p["norm2.gain"].data)
+        dpre = (dz @ p["ffn2.weight"].data.T) * ad.gelu_slope(pre, tanh_term)
+        thunks = {
+            "ffn1.weight": lambda: _rows(x).T @ _rows(dpre),
+            "ffn1.bias": lambda: _rows(dpre).sum(axis=0),
+            "ffn2.weight": lambda: _rows(act).T @ _rows(dz),
+            "ffn2.bias": lambda: _rows(dz).sum(axis=0),
+            "norm2.gain": lambda: _rows(grad * normed).sum(axis=0),
+            "norm2.bias": lambda: _rows(grad).sum(axis=0),
+        }
+        return ad.gradients((h, lambda: dz + dpre @ p["ffn1.weight"].data.T),
+                            *((p[name], thunks[name]) for name in FFN_PARAMS))
+
+    return Tensor(out, _parents=(h, *p.values()), _backward=backward)
+
+
+def readout(h: Tensor, batch: PaddedBatch, store: ParamStore) -> Tensor:
+    """Masked mean pooling over real slots, projection and L2 normalization,
+    as one tape node: (B, n_max, hidden) -> unit rows (B, text_dim)."""
+    weight, bias = store["proj.weight"], store["proj.bias"]
+    real = _real_slots(batch)[:, :, None]
+    inv_sizes = 1.0 / batch.sizes[:, None]
+    pooled = (h.data * real).sum(axis=1) * inv_sizes
+    projected = pooled @ weight.data + bias.data
+    norm = np.sqrt((projected * projected).sum(axis=-1, keepdims=True))
+    out = projected / norm
+
+    def backward(grad):
+        dprojected = (grad - out * (grad * out).sum(axis=-1, keepdims=True)) / norm
+        return ad.gradients(
+            (h, lambda: real * ((dprojected @ weight.data.T) * inv_sizes)[:, None, :]),
+            (weight, lambda: pooled.T @ dprojected),
+            (bias, lambda: dprojected.sum(axis=0)),
+        )
+
+    return Tensor(out, _parents=(h, weight, bias), _backward=backward)
+
+
 def encode_batch(
     store: ParamStore,
     config: GraphEncoderConfig,
@@ -275,7 +446,7 @@ def encode_batch(
 ) -> tuple[Tensor, Tensor]:
     """Forward pass over a padded batch on one tape. Returns (unit-norm
     embeddings (B, d), feature tensor (B, n_max, d)), by default a grad-enabled
-    leaf over ``batch.features``.
+    leaf over ``batch.features``. The tape holds 2 + 2 * layers op nodes.
 
     Padded slots never reach a real node: a -inf key mask hides them from
     attention, their neighbor-mean weight is zero, and pooling skips them, so
@@ -285,46 +456,11 @@ def encode_batch(
     if x_input.data.shape != batch.features.shape:
         raise ShapeError(f"input features: expected {batch.features.shape}, "
                          f"got {x_input.data.shape}")
-
-    b, n, _ = batch.features.shape
-    heads, hidden = config.heads, config.hidden
-    head_dim = hidden // heads
-    scale = 1.0 / np.sqrt(head_dim)
-    real = np.arange(n) < batch.sizes[:, None]                      # (B, n_max)
-    key_mask = Tensor(np.where(real, 0.0, -np.inf)[:, None, None, :])
-
-    pos = Tensor(batch.positional)
-    h = ad.concat([x_input, pos], axis=2) @ store["input.weight"] + store["input.bias"]
-    neighbor_mean = Tensor(batch.neighbor_mean)
-
-    def split_heads(t: Tensor) -> Tensor:                           # (B, heads, n, hd)
-        return ad.transpose(ad.reshape(t, (b, n, heads, head_dim)), (0, 2, 1, 3))
-
+    h = input_projection(x_input, batch, store)
     for i in range(config.layers):
-        p = f"layer{i}."
-        local = (
-            h @ store[p + "local_self.weight"] + store[p + "local_self.bias"]
-            + (neighbor_mean @ h) @ store[p + "local_neigh.weight"]
-            + store[p + "local_neigh.bias"]
-        )
-
-        q = split_heads(h @ store[p + "attn_q.weight"] + store[p + "attn_q.bias"])
-        k = split_heads(h @ store[p + "attn_k.weight"] + store[p + "attn_k.bias"])
-        v = split_heads(h @ store[p + "attn_v.weight"] + store[p + "attn_v.bias"])
-        scores = ad.mul(q @ ad.transpose(k, (0, 1, 3, 2)), ad.as_tensor(scale)) + key_mask
-        context = ad.softmax(scores) @ v
-        context = ad.reshape(ad.transpose(context, (0, 2, 1, 3)), (b, n, hidden))
-        attn = context @ store[p + "attn_out.weight"] + store[p + "attn_out.bias"]
-
-        h = ad.layer_norm(h + local + attn, store[p + "norm1.gain"], store[p + "norm1.bias"])
-        ff = ad.gelu(h @ store[p + "ffn1.weight"] + store[p + "ffn1.bias"])
-        ff = ff @ store[p + "ffn2.weight"] + store[p + "ffn2.bias"]
-        h = ad.layer_norm(h + ff, store[p + "norm2.gain"], store[p + "norm2.bias"])
-
-    pooled = ad.mul(ad.tsum(ad.mul(h, Tensor(real[:, :, None])), axis=1),
-                    Tensor(1.0 / batch.sizes[:, None]))
-    projected = pooled @ store["proj.weight"] + store["proj.bias"]
-    return ad.l2_normalize(projected), x_input
+        h = mixing_sublayer(h, batch, store, f"layer{i}.", config.heads)
+        h = ffn_sublayer(h, store, f"layer{i}.")
+    return readout(h, batch, store), x_input
 
 
 def encode_graph_tensor(

@@ -1,8 +1,9 @@
 """Finite-difference verification of every analytic gradient.
 
 Central differences with step 1e-5 on float64 are the independent oracle for
-the whole reverse-mode path: encoder parameters, input features, and the
-contrastive / supervised-contrastive losses. The relative error of a tensor
+the whole reverse-mode path: encoder parameters, input features, each fused
+tape op of the encoder on its own, and the contrastive /
+supervised-contrastive losses. The relative error of a tensor
 is the worst entrywise |analytic - fd| / (max(|analytic|, |fd|) + 1e-5); the
 additive floor keeps near-zero gradients from amplifying the oracle's own
 roundoff, while real sign or scale errors still show up orders of magnitude
@@ -16,8 +17,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor
-from . import autodiff as ad
-from .encoder import GraphEncoderConfig, ParamStore, encode_batch, pad_batch
+from .encoder import (
+    FFN_PARAMS,
+    MIXING_PARAMS,
+    GraphEncoderConfig,
+    ParamStore,
+    encode_batch,
+    ffn_sublayer,
+    input_projection,
+    mixing_sublayer,
+    pad_batch,
+    readout,
+)
 from .errors import ValidationError
 from .graphs import SamplerConfig, TextAttributedGraph, rwr_sample, with_positional_encodings
 from .losses import contrastive_loss_tensor, supervised_contrastive_loss_tensor
@@ -131,23 +142,80 @@ def check_encoder_gradients(
     store = ParamStore.initialize(config, seed=seed)
     batch = pad_batch(config, [_random_subgraph(config, n, seed + 1 + i)
                                for i, n in enumerate(sizes)])
-    readout = np.random.default_rng(seed + 2).normal(size=(len(sizes), config.text_dim))
+    weights = np.random.default_rng(seed + 2).normal(size=(len(sizes), config.text_dim))
     features = batch.features.copy()
 
     def forward() -> float:
         out, _ = encode_batch(store, config, batch, Tensor(features))
-        return float((out.data * readout).sum())
+        return float((out.data * weights).sum())
 
     out, x_leaf = encode_batch(store, config, batch)
-    loss = ad.tsum(ad.mul(out, Tensor(readout)))
     store.zero_grads()
-    loss.backward()
+    out.backward(weights)
 
     analytic = {name: store[name].grad.copy() for name in store.names()}
     analytic["input.features"] = x_leaf.grad.copy()
     numeric = {name: central_difference(forward, store[name].data, step)
                for name in store.names()}
     numeric["input.features"] = central_difference(forward, features, step)
+    return compare_gradients(analytic, numeric, tolerance)
+
+
+FUSED_OPS = ("input_projection", "mixing", "ffn", "readout", "contrastive_loss")
+
+
+def check_fused_op_gradients(
+    op: str,
+    config: GraphEncoderConfig,
+    sizes: tuple[int, ...] = (3, 1, 2),
+    seed: int = 0,
+    step: float = DEFAULT_STEP,
+    tolerance: float = DEFAULT_TOLERANCE,
+) -> dict[str, tuple[float, bool]]:
+    """FD-verify one fused tape op on its own: its parameter gradients and
+    the gradient of each of its inputs, for a random weighting of its output.
+
+    The op runs on a padded, masked batch of subgraphs of ``sizes``; the
+    weighting covers padded rows too, so the whole function is checked. The
+    loss takes (len(sizes), text_dim) unit rows."""
+    store = ParamStore.initialize(config, seed=seed)
+    batch = pad_batch(config, [_random_subgraph(config, n, seed + 1 + i)
+                               for i, n in enumerate(sizes)])
+    rng = np.random.default_rng(seed + 2)
+    hidden = rng.normal(size=batch.features.shape[:2] + (config.hidden,))
+
+    def unit_rows():
+        a = rng.normal(size=(len(sizes), config.text_dim))
+        return a / np.linalg.norm(a, axis=1, keepdims=True)
+
+    cases = {
+        "input_projection": ({"x": batch.features.copy()}, ("input.weight", "input.bias"),
+                             lambda t: input_projection(t["x"], batch, store)),
+        "mixing": ({"h": hidden}, tuple("layer0." + n for n in MIXING_PARAMS),
+                   lambda t: mixing_sublayer(t["h"], batch, store, "layer0.", config.heads)),
+        "ffn": ({"h": hidden}, tuple("layer0." + n for n in FFN_PARAMS),
+                lambda t: ffn_sublayer(t["h"], store, "layer0.")),
+        "readout": ({"h": hidden}, ("proj.weight", "proj.bias"),
+                    lambda t: readout(t["h"], batch, store)),
+        "contrastive_loss": ({"h": unit_rows(), "u": unit_rows()}, (),
+                             lambda t: contrastive_loss_tensor(t["h"], t["u"], 0.1)),
+    }
+    inputs, params, apply = cases[op]
+    leaves = {name: Tensor(a.copy(), requires_grad=True) for name, a in inputs.items()}
+    out = apply(leaves)
+    weights = rng.normal(size=out.data.shape)
+    store.zero_grads()
+    out.backward(weights)
+
+    def forward() -> float:
+        return float((apply({name: Tensor(a) for name, a in inputs.items()}).data
+                      * weights).sum())
+
+    analytic = {name: store[name].grad.copy() for name in params}
+    numeric = {name: central_difference(forward, store[name].data, step) for name in params}
+    for name, a in inputs.items():
+        analytic[f"{op}.{name}"] = leaves[name].grad.copy()
+        numeric[f"{op}.{name}"] = central_difference(forward, a, step)
     return compare_gradients(analytic, numeric, tolerance)
 
 
@@ -237,6 +305,10 @@ def run_grad_check(
     report.add(f"encoder(L={config.layers},D={config.hidden},padded batch)",
                check_encoder_gradients(config, num_nodes=(3, 2), seed=seed,
                                        step=step, tolerance=tolerance))
+    for op in FUSED_OPS:
+        report.add(f"fused {op}",
+                   check_fused_op_gradients(op, config, seed=seed, step=step,
+                                            tolerance=tolerance))
     report.add("contrastive_loss",
                check_contrastive_gradients(seed=seed, step=step, tolerance=tolerance))
     report.add("supervised_contrastive_loss",

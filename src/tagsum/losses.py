@@ -27,29 +27,44 @@ def _check_batch(h: np.ndarray, u: np.ndarray) -> int:
     return h.shape[0]
 
 
-def pairwise_sq_dists(h: Tensor, u: Tensor) -> Tensor:
-    """(B, B) matrix of ||h_i - u_j||^2, differentiable in both operands."""
-    h_sq = ad.tsum(ad.mul(h, h), axis=1, keepdims=True)           # (B, 1)
-    u_sq = ad.reshape(ad.tsum(ad.mul(u, u), axis=1, keepdims=True),
-                      (1, u.data.shape[0]))                       # (1, B)
-    cross = h @ ad.transpose(u, (1, 0))                           # (B, B)
-    return ad.sub(ad.add(h_sq, u_sq), ad.mul(cross, ad.as_tensor(2.0)))
+def _logsumexp_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise logsumexp (B,) and softmax (B, B) of ``x``, max-shifted."""
+    shift = x.max(axis=1, keepdims=True)
+    z = np.exp(x - shift)
+    total = z.sum(axis=1, keepdims=True)
+    return (np.log(total) + shift)[:, 0], z / total
 
 
 def contrastive_loss_tensor(h: Tensor, u: Tensor, temperature: float) -> Tensor:
     """Symmetric cross-entropy over the similarity matrix
-    sim(i, j) = -||h_i - u_j||^2 / temperature."""
+    S(i, j) = -||h_i - u_j||^2 / temperature, as one tape node.
+
+    dL/dS = 0.5 / B (softmax_rows(S) + softmax_cols(S) - 2 I); through
+    D = ||h_i||^2 + ||u_j||^2 - 2 h_i . u_j and S = -D / temperature that gives
+    dL/dh = 2 (rowsum(G) h - G u) and dL/du = 2 (colsum(G) u - G^T h) with
+    G = dL/dD."""
     if temperature <= 0:
         raise ValidationError("temperature must be positive")
     batch = _check_batch(h.data, u.data)
-    sims = ad.mul(pairwise_sq_dists(h, u), ad.as_tensor(-1.0 / temperature))
-    eye = Tensor(np.eye(batch))
-    diag = ad.tsum(ad.mul(sims, eye), axis=1)                     # (B,)
-    lse_rows = ad.logsumexp(sims, axis=1)                         # (B,)
-    lse_cols = ad.logsumexp(ad.transpose(sims, (1, 0)), axis=1)   # (B,)
-    loss_rows = ad.tmean(ad.sub(lse_rows, diag))
-    loss_cols = ad.tmean(ad.sub(lse_cols, diag))
-    return ad.mul(ad.add(loss_rows, loss_cols), ad.as_tensor(0.5))
+    hd, ud = h.data, u.data
+    dists = ((hd * hd).sum(axis=1, keepdims=True) + (ud * ud).sum(axis=1)[None, :]
+             - (hd @ ud.T) * 2.0)
+    sims = dists * (-1.0 / temperature)
+    diag = sims.diagonal()
+    lse_rows, probs_rows = _logsumexp_rows(sims)
+    lse_cols, probs_cols = _logsumexp_rows(sims.T)
+    loss = (np.sum(lse_rows - diag) * (1.0 / batch)
+            + np.sum(lse_cols - diag) * (1.0 / batch)) * 0.5
+
+    def backward(grad):
+        dd = (probs_rows + probs_cols.T - 2.0 * np.eye(batch)) * (
+            grad * 0.5 / batch * (-1.0 / temperature))
+        return ad.gradients(
+            (h, lambda: 2.0 * (dd.sum(axis=1)[:, None] * hd - dd @ ud)),
+            (u, lambda: 2.0 * (dd.sum(axis=0)[:, None] * ud - dd.T @ hd)),
+        )
+
+    return Tensor(loss, _parents=(h, u), _backward=backward)
 
 
 def contrastive_loss(h: np.ndarray, u: np.ndarray, temperature: float):

@@ -1,10 +1,13 @@
 """Zero-shot classification, link prediction, prompt tuning."""
 
+import time
+
 import numpy as np
 import pytest
 
 from tagsum.adapt import (
     FewShotSplit,
+    _accuracy,
     _node_sampler_cfg,
     build_label_prompts,
     auc,
@@ -18,11 +21,14 @@ from tagsum.adapt import (
     save_label_prompt_asset,
     zero_shot_classify,
 )
+import tagsum.autodiff as ad
 from tagsum.autodiff import Tensor
-from tagsum.encoder import ParamStore, encode_graph_tensor
+from tagsum.encoder import ParamStore, encode_batch, encode_graph_tensor, sample_batch
 from tagsum.errors import ValidationError
-from tagsum.graphs import rwr_sample, with_positional_encodings
+from tagsum.graphs import TextAttributedGraph, rwr_sample, with_positional_encodings
 from tagsum.losses import supervised_contrastive_loss_tensor
+from tagsum.pretrain import AdamW, OptimizerConfig
+from tagsum.textenc import attach_features
 from tagsum.synthetic import CLASS_KEYWORDS
 
 from conftest import TOY_ENCODER, TOY_SAMPLER
@@ -252,6 +258,24 @@ class TestLinkPrediction:
             test_fraction=0.1, num_runs=2, base_seed=0)
         assert result.mean > 0.6
 
+    def test_too_few_non_edges_rejected_at_once(self, text_encoder):
+        store = ParamStore.initialize(TOY_ENCODER, seed=0)
+        k4_edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+        k4 = attach_features(TextAttributedGraph.from_edges(4, k4_edges, ["node"] * 4),
+                             text_encoder)
+        start = time.perf_counter()
+        with pytest.raises(ValidationError, match="non-edges"):
+            evaluate_link_prediction(store, TOY_ENCODER, k4, TOY_SAMPLER)
+        # One non-edge and five edges: half of them needs two negatives.
+        k4_minus_one = attach_features(
+            TextAttributedGraph.from_edges(4, k4_edges[1:], ["node"] * 4), text_encoder)
+        with pytest.raises(ValidationError, match="non-edges"):
+            evaluate_link_prediction(store, TOY_ENCODER, k4_minus_one, TOY_SAMPLER)
+        assert time.perf_counter() - start < 1.0
+        result = evaluate_link_prediction(store, TOY_ENCODER, k4_minus_one, TOY_SAMPLER,
+                                          test_fraction=0.2, num_runs=1)
+        assert 0.0 <= result.mean <= 1.0
+
     def test_default_fraction_half(self):
         import inspect
 
@@ -418,6 +442,44 @@ class TestPromptTune:
         rel = np.abs(analytic - numeric) / (np.maximum(np.abs(analytic),
                                                        np.abs(numeric)) + 1e-5)
         assert rel.max() < 1e-4
+
+    def test_towers_get_no_gradient(self, trained_model, target_graph, label_prompts):
+        # A copy of the trained store with a sentinel in every gradient slot.
+        store = ParamStore({name: Tensor(t.data.copy(), requires_grad=True)
+                            for name, t in trained_model.store.tensors.items()})
+        for t in store.tensors.values():
+            t.grad[...] = 7.0
+        split = make_few_shot_split(target_graph, shots=2, seed=3)
+        result = prompt_tune(store, TOY_ENCODER, target_graph, split, label_prompts,
+                             epochs=3, lr=1e-2, sampler_cfg=TOY_SAMPLER)
+        assert result.towers_frozen
+        assert all(np.all(t.grad == 7.0) for t in store.tensors.values())
+
+        # The same steps on a tape through the store itself: the figures are
+        # bit-identical, and there backward does fill the tower's slots.
+        mapping = prompt_index_map(target_graph, label_prompts)
+        train_labels = np.array([int(mapping[target_graph.labels[n]])
+                                 for n in split.train_ids])
+        sigma = Tensor(np.zeros(TOY_ENCODER.text_dim), requires_grad=True)
+        optimizer = AdamW({"sigma": sigma}, OptimizerConfig(lr=1e-2, weight_decay=1e-5))
+        losses = []
+        for epoch in range(3):
+            batch = sample_batch(TOY_ENCODER, target_graph, split.train_ids,
+                                 _node_sampler_cfg(TOY_SAMPLER, split.seed * 1009 + epoch))
+            z, _ = encode_batch(store, TOY_ENCODER, batch,
+                                ad.add(Tensor(batch.features), sigma))
+            loss = supervised_contrastive_loss_tensor(z, train_labels,
+                                                      label_prompts.embeddings, 0.1)
+            sigma.zero_grad()
+            loss.backward()
+            optimizer.step({"sigma": sigma.grad})
+            losses.append(loss.item())
+        assert result.losses == losses
+        assert result.prompt.values.tobytes() == sigma.data.tobytes()
+        assert result.tuned_accuracy == _accuracy(
+            store, TOY_ENCODER, target_graph, label_prompts, TOY_SAMPLER,
+            split.test_ids, split.seed, feature_offset=sigma.data)
+        assert any(np.any(t.grad != 7.0) for t in store.tensors.values())
 
     def test_rejects_featureless_graph(self, trained_model, label_prompts):
         from tagsum.synthetic import make_synthetic_tag

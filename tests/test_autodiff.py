@@ -51,9 +51,8 @@ class TestElementwise:
         check(lambda t: ad.tsum(ad.div(ad.mul(t[0], t[1]) - t[0], t[2])),
               [(2, 3), (2, 3), (1, 3)], seed=3)
 
-    def test_exp_log_sqrt(self):
-        check(lambda t: ad.tsum(ad.log(ad.exp(t[0]) + ad.as_tensor(2.0))
-                                + ad.sqrt(ad.mul(t[0], t[0]) + ad.as_tensor(1.0))),
+    def test_exp_log(self):
+        check(lambda t: ad.tsum(ad.log(ad.exp(t[0]) + ad.as_tensor(2.0))),
               [(4, 2)])
 
     def test_tanh_gelu(self):
@@ -121,17 +120,6 @@ class TestNorms:
     def test_layer_norm(self):
         check(lambda t: ad.tsum(ad.mul(ad.layer_norm(t[0], t[1], t[2]), t[0])),
               [(3, 6), (6,), (6,)], seed=9)
-
-    def test_l2_normalize_unit_output(self):
-        x = Tensor(np.random.default_rng(1).normal(size=(2, 5)))
-        normed = ad.l2_normalize(x)
-        np.testing.assert_allclose(np.linalg.norm(normed.data, axis=1), 1.0,
-                                   atol=1e-12)
-
-    def test_l2_normalize_grad(self):
-        check(lambda t: ad.tsum(ad.mul(ad.l2_normalize(t[0]),
-                                       Tensor(np.arange(10.).reshape(2, 5)))),
-              [(2, 5)], seed=10)
 
 
 class TestEngine:

@@ -13,7 +13,7 @@ from tagsum.cli import (
 )
 from tagsum.encoder import CHECKPOINT_MAGIC
 from tagsum.errors import ValidationError
-from tagsum.graphs import save_graph
+from tagsum.graphs import TextAttributedGraph, save_graph
 from tagsum.synthetic import (
     CLASS_DESCRIPTIONS,
     CLASS_KEYWORDS,
@@ -248,6 +248,24 @@ class TestErrors:
                          "--checkpoint", str(truncated),
                          "--out", str(tmp_path / f"out{cut}"), *SMALL])
             assert code == EXIT_VALIDATION
+
+    def test_tune_without_runs_is_validation_error(self, workdir, checkpoint, tmp_path):
+        code = main(["tune", "--graph", str(workdir / "graph.tsv"),
+                     "--checkpoint", str(checkpoint),
+                     "--labels", str(workdir / "labels.json"),
+                     "--out", str(tmp_path / "tune0"), "--shots", "2",
+                     "--adapt.runs", "0", *SMALL])
+        assert code == EXIT_VALIDATION
+
+    def test_link_prediction_without_enough_non_edges_is_validation_error(
+            self, checkpoint, tmp_path):
+        # K4 has no non-edge to sample as a negative.
+        k4 = TextAttributedGraph.from_edges(
+            4, [(u, v) for u in range(4) for v in range(u + 1, 4)], ["node"] * 4)
+        save_graph(k4, tmp_path / "k4.tsv")
+        code = main(["eval-lp", "--graph", str(tmp_path / "k4.tsv"),
+                     "--checkpoint", str(checkpoint), "--out", str(tmp_path / "k4"), *SMALL])
+        assert code == EXIT_VALIDATION
 
     def test_label_asset_missing_key_is_validation_error(self, workdir, checkpoint,
                                                           tmp_path):

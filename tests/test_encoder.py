@@ -38,6 +38,8 @@ from tagsum.graphs import (
 from tagsum.losses import contrastive_loss_tensor
 from tagsum.synthetic import make_synthetic_tag
 
+from conftest import TOY_ENCODER
+
 CFG = GraphEncoderConfig(layers=2, hidden=16, heads=4, positional_dim=4, text_dim=6)
 
 
@@ -134,6 +136,23 @@ class TestPaddedBatch:
         for i, sub in enumerate(subs):
             assert np.all(x.grad[i, sub.num_nodes:] == 0.0)
         assert x.grad.shape == (len(subs), 8, CFG.text_dim)
+
+
+class TestTape:
+    def test_forward_records_few_op_nodes(self):
+        # Each sublayer is one op: input projection, mixing and FFN per
+        # layer, readout.
+        store = ParamStore.initialize(TOY_ENCODER, seed=0)
+        subs = [random_subgraph(n, TOY_ENCODER, seed=n) for n in (5, 1, 8)]
+        out, _ = encode_batch(store, TOY_ENCODER, pad_batch(TOY_ENCODER, subs))
+        reached, stack = {}, [out]
+        while stack:
+            node = stack.pop()
+            if id(node) not in reached:
+                reached[id(node)] = node
+                stack.extend(node._parents)
+        ops = sum(1 for node in reached.values() if node._backward is not None)
+        assert ops <= 25
 
 
 class TestEncodeSubgraphs:

@@ -1,11 +1,14 @@
 """Finite-difference verification suite and its negative control."""
 
 import numpy as np
+import pytest
 
 from tagsum.encoder import GraphEncoderConfig
 from tagsum.gradcheck import (
+    FUSED_OPS,
     check_contrastive_gradients,
     check_encoder_gradients,
+    check_fused_op_gradients,
     check_scl_gradients,
     compare_gradients,
     relative_error,
@@ -33,6 +36,16 @@ class TestEncoderGradients:
         assert "input.features" in results
         err, ok = results["input.features"]
         assert ok and err < 1e-4
+
+
+class TestFusedOpGradients:
+    @pytest.mark.parametrize("op", FUSED_OPS)
+    def test_padded_batch_with_a_single_node(self, op):
+        cfg = GraphEncoderConfig(layers=1, hidden=8, heads=2,
+                                 positional_dim=3, text_dim=5)
+        results = check_fused_op_gradients(op, cfg, sizes=(3, 1, 2), seed=4)
+        assert all(ok for _, ok in results.values()), results
+        assert any(name.startswith(op + ".") for name in results)   # an input gradient
 
 
 class TestLossGradients:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import tagsum.autodiff as ad
 from tagsum.autodiff import Tensor
 from tagsum.errors import ValidationError
 from tagsum.losses import (
@@ -17,6 +18,20 @@ from tagsum.losses import (
 
 def unit_rows(a):
     return a / np.linalg.norm(a, axis=1, keepdims=True)
+
+
+def composed_loss(h, u, temperature):
+    """The contrastive loss built from elementwise tape ops, as it was
+    before it became one op with a closed-form backward."""
+    batch = h.data.shape[0]
+    h_sq = ad.tsum(ad.mul(h, h), axis=1, keepdims=True)
+    u_sq = ad.reshape(ad.tsum(ad.mul(u, u), axis=1, keepdims=True), (1, batch))
+    dists = ad.sub(ad.add(h_sq, u_sq), ad.mul(h @ ad.transpose(u, (1, 0)), ad.as_tensor(2.0)))
+    sims = ad.mul(dists, ad.as_tensor(-1.0 / temperature))
+    diag = ad.tsum(ad.mul(sims, Tensor(np.eye(batch))), axis=1)
+    rows = ad.tmean(ad.sub(ad.logsumexp(sims, axis=1), diag))
+    cols = ad.tmean(ad.sub(ad.logsumexp(ad.transpose(sims, (1, 0)), axis=1), diag))
+    return ad.mul(ad.add(rows, cols), ad.as_tensor(0.5))
 
 
 class TestContrastiveLoss:
@@ -48,6 +63,19 @@ class TestContrastiveLoss:
                 perm = rng.permutation(batch)
             shuffled, _, _ = contrastive_loss(h, u[perm], temperature=0.2)
             assert shuffled > matched
+
+    def test_one_op_matches_the_composed_loss(self):
+        rng = np.random.default_rng(5)
+        for batch, dim, temperature in ((1, 3, 0.1), (3, 5, 0.1), (8, 24, 0.07), (16, 24, 1.0)):
+            h = unit_rows(rng.normal(size=(batch, dim)))
+            u = unit_rows(rng.normal(size=(batch, dim)))
+            value, dh, du = contrastive_loss(h, u, temperature)
+            ht, ut = Tensor(h, requires_grad=True), Tensor(u, requires_grad=True)
+            reference = composed_loss(ht, ut, temperature)
+            reference.backward()
+            assert value == reference.item()
+            assert np.max(np.abs(dh - ht.grad)) <= 1e-12
+            assert np.max(np.abs(du - ut.grad)) <= 1e-12
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValidationError):

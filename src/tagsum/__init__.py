@@ -13,7 +13,6 @@ from .graphs import (
     SamplerConfig,
     TextAttributedGraph,
     load_graph,
-    rwpe,
     rwr_sample,
     save_graph,
     with_positional_encodings,
@@ -24,14 +23,13 @@ from .textenc import Embedding, HashTextEncoder, TableTextEncoder, attach_featur
 from .encoder import (
     GraphEncoderConfig,
     ParamStore,
-    encode_graph,
     load_checkpoint,
     parameter_count,
     preset_config,
     save_checkpoint,
 )
 from .losses import alignment_uniformity, contrastive_loss
-from .pretrain import OptimizerConfig, PerturbationState, inner_maximize, pretrain
+from .pretrain import OptimizerConfig, PerturbationState, pretrain
 from .adapt import (
     FewShotSplit,
     LabelPromptSet,

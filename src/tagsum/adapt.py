@@ -77,19 +77,30 @@ def build_label_prompts(
 
 def load_label_prompt_asset(path, text_encoder) -> LabelPromptSet:
     """Label asset file: {"template": ..., "classes": [{"id", "name",
-    "description"}, ...]} with ids 0..C-1."""
+    "description"}, ...]} with ids 0..C-1, at least one class, and text for
+    the template, names and descriptions."""
     try:
         spec = json.loads(Path(path).read_text(encoding="utf-8"))
         template = spec["template"]
         classes = sorted(spec["classes"], key=lambda c: c["id"])
         names = [c["name"] for c in classes]
-    except (ValueError, KeyError, TypeError) as exc:
+        descriptions = [c.get("description", "") for c in classes]
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise ValidationError(
             f"malformed label asset {path}: {type(exc).__name__}: {exc}") from exc
+    if not classes:
+        raise ValidationError(f"label asset {path} has no classes")
     if [c["id"] for c in classes] != list(range(len(classes))):
         raise ValidationError("class ids must be 0..C-1 with no gaps")
-    return build_label_prompts(
-        names, [c.get("description", "") for c in classes], template, text_encoder)
+    for text in (template, *names, *descriptions):
+        if not isinstance(text, str):
+            raise ValidationError(f"label asset {path}: template, class names and "
+                                  f"descriptions must be strings, got {text!r:.40}")
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:          # a lone surrogate from a JSON escape
+            raise ValidationError(f"label asset {path}: {exc.reason} in {text!r:.40}") from None
+    return build_label_prompts(names, descriptions, template, text_encoder)
 
 
 def save_label_prompt_asset(path, template: str, class_names, descriptions) -> None:

@@ -26,6 +26,7 @@ from .adapt import (
     make_few_shot_split,
     prompt_tune,
 )
+from .atomic import replacing
 from .encoder import (
     GraphEncoderConfig,
     load_checkpoint,
@@ -225,8 +226,9 @@ class RunDir:
         self.path.mkdir(parents=True, exist_ok=True)
         self.config = config
         self.inputs: dict[str, str] = {}
-        (self.path / "resolved_config.json").write_text(
-            json.dumps(config, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        with replacing(self.path / "resolved_config.json") as temp:
+            temp.write_text(json.dumps(config, indent=2, sort_keys=True) + "\n",
+                            encoding="utf-8")
 
     def record_input(self, path) -> Path:
         path = Path(path)
@@ -234,9 +236,9 @@ class RunDir:
         return path
 
     def finish(self) -> None:
-        (self.path / "manifest.json").write_text(
-            json.dumps({"inputs": self.inputs}, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
+        with replacing(self.path / "manifest.json") as temp:
+            temp.write_text(json.dumps({"inputs": self.inputs}, indent=2, sort_keys=True)
+                            + "\n", encoding="utf-8")
 
 
 def _encoder_config(cfg: dict) -> GraphEncoderConfig:
@@ -351,7 +353,7 @@ def _load_eval_inputs(cfg: dict, run: RunDir):
 def _write_report_csv(path: Path, rows: list[dict]) -> None:
     import csv
 
-    with open(path, "w", newline="", encoding="utf-8") as handle:
+    with replacing(path) as temp, open(temp, "w", newline="", encoding="utf-8") as handle:
         writer = csv.DictWriter(
             handle, fieldnames=["dataset", "task", "shots", "seed", "metric", "value"])
         writer.writeheader()

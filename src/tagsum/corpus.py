@@ -218,6 +218,16 @@ class GenerationReport:
     failures: list[dict] = field(default_factory=list)
 
 
+def _drop_torn_record(path: Path) -> None:
+    """Truncate the bytes after the sink's last newline. Every record ends in
+    one, so they are a record whose write was cut off; its seed is then
+    generated again."""
+    raw = path.read_bytes()
+    end = raw.rfind(b"\n") + 1
+    if end < len(raw):
+        os.truncate(path, end)
+
+
 def generate_pairs(
     graph: TextAttributedGraph,
     sampler_cfg: SamplerConfig,
@@ -236,7 +246,8 @@ def generate_pairs(
 
     Failures are retried ``retries`` times, then recorded in the failure
     manifest and skipped. Seeds whose key already exists in the sink are not
-    re-generated, which makes interrupted runs resumable.
+    re-generated, which makes interrupted runs resumable; a record torn off
+    by the interruption is dropped and its seed generated again.
     """
     if domain not in DOMAINS:
         raise ValidationError(f"unknown domain {domain!r}")
@@ -248,6 +259,7 @@ def generate_pairs(
 
     existing = set()
     if out_path.exists():
+        _drop_torn_record(out_path)
         existing = {pair.key for pair in read_pairs(out_path)}
 
     report = GenerationReport()
@@ -307,17 +319,3 @@ def generate_pairs(
             for entry in report.failures:
                 handle_.write(json.dumps(entry, sort_keys=True) + "\n")
     return report
-
-
-def dedup_pairs(pairs: Sequence[GraphSummaryPair]) -> list[GraphSummaryPair]:
-    """Drop pairs with duplicate keys or identical summaries, keeping the first."""
-    seen_keys = set()
-    seen_summaries = set()
-    out = []
-    for pair in pairs:
-        if pair.key in seen_keys or pair.summary in seen_summaries:
-            continue
-        seen_keys.add(pair.key)
-        seen_summaries.add(pair.summary)
-        out.append(pair)
-    return out

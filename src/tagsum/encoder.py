@@ -47,6 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
+from .atomic import replacing
 from .autodiff import Tensor
 from .errors import ShapeError, ValidationError
 from .graphs import (
@@ -235,6 +236,16 @@ class PaddedBatch:
     positional: np.ndarray     # (B, n_max, positional_dim)
     neighbor_mean: np.ndarray  # (B, n_max, n_max), degree-normalized adjacency
     sizes: np.ndarray          # (B,)
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+    def take(self, rows) -> "PaddedBatch":
+        """The subgraphs at ``rows``, in that order, padded to their own n_max."""
+        sizes = self.sizes[rows]
+        n = int(sizes.max())
+        return PaddedBatch(self.features[rows, :n], self.positional[rows, :n],
+                           self.neighbor_mean[rows, :n, :n], sizes)
 
 
 def pad_batch(config: GraphEncoderConfig, subgraphs: list[EgoSubgraph]) -> PaddedBatch:
@@ -509,7 +520,8 @@ def save_checkpoint(path, store: ParamStore, config: GraphEncoderConfig,
                     metadata: dict | None = None) -> None:
     """Binary checkpoint: magic, version, JSON header, row-major float64 blobs.
 
-    Byte-deterministic for identical tensors and metadata.
+    Byte-deterministic for identical tensors and metadata, and written
+    atomically (``atomic.replacing``).
     """
     names = store.names()
     header = {
@@ -527,7 +539,7 @@ def save_checkpoint(path, store: ParamStore, config: GraphEncoderConfig,
         ],
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as handle:
+    with replacing(path) as temp, open(temp, "wb") as handle:
         handle.write(CHECKPOINT_MAGIC)
         handle.write(struct.pack("<I", len(blob)))
         handle.write(blob)

@@ -149,6 +149,8 @@ def parse_graphml(doc: str) -> ParsedGraphML:
         root = ET.fromstring(doc)
     except ET.ParseError as exc:
         raise ParseError(f"malformed XML: {exc}") from None
+    except UnicodeEncodeError as exc:          # a lone surrogate has no UTF-8 form
+        raise ParseError(f"malformed XML: {exc.reason}") from None
     if root.tag != "graphml":
         raise ParseError(f"root element is {root.tag!r}, expected 'graphml'")
 

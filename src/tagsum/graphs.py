@@ -476,16 +476,11 @@ def batched_rwpe(transition: np.ndarray, sizes: np.ndarray, num_powers: int) -> 
     return out
 
 
-def rwpe(sub: EgoSubgraph, num_powers: int) -> np.ndarray:
-    """Random-walk positional encodings: return probabilities of k-step walks.
-
-    Entry (v, k) is the diagonal of the k-th power of the degree-normalized
-    adjacency D^-1 A, for k = 1..num_powers. Isolated nodes get zero rows.
-    """
-    transition = degree_normalized(sub.adjacency_matrix())
-    return batched_rwpe(transition[None], np.array([sub.num_nodes]), num_powers)[0]
-
-
 def with_positional_encodings(sub: EgoSubgraph, num_powers: int) -> EgoSubgraph:
-    """Attach random-walk positional encodings to a subgraph."""
-    return dataclasses.replace(sub, positional=rwpe(sub, num_powers))
+    """Attach random-walk positional encodings. Column k - 1 holds each node's
+    return probability after k steps, the diagonal of the k-th power of the
+    degree-normalized adjacency D^-1 A, for k = 1..num_powers. Isolated
+    nodes get zero rows."""
+    transition = degree_normalized(sub.adjacency_matrix())
+    positional = batched_rwpe(transition[None], np.array([sub.num_nodes]), num_powers)[0]
+    return dataclasses.replace(sub, positional=positional)

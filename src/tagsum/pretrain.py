@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import replacing
 from .autodiff import Tensor
 from .corpus import GraphSummaryPair
 from .encoder import (
@@ -25,17 +26,11 @@ from .encoder import (
     PaddedBatch,
     ParamStore,
     encode_batch,
-    pad_batch,
+    sample_batch,
     save_checkpoint,
 )
 from .errors import NonFiniteLossError, ValidationError
-from .graphs import (
-    EgoSubgraph,
-    SamplerConfig,
-    TextAttributedGraph,
-    rwr_sample,
-    with_positional_encodings,
-)
+from .graphs import SamplerConfig, TextAttributedGraph
 from .losses import alignment_uniformity, contrastive_loss_tensor
 from .textenc import attach_features
 
@@ -158,23 +153,10 @@ def _forward_backward(
     return store.gradients(), loss.item(), h.data.copy(), leaf.grad
 
 
-def clean_gradients(
-    store: ParamStore,
-    config: GraphEncoderConfig,
-    subgraphs: list[EgoSubgraph],
-    summary_embs: np.ndarray,
-    temperature: float,
-) -> tuple[dict[str, np.ndarray], float, np.ndarray]:
-    """Single unperturbed forward/backward; the no-adversary gradient."""
-    batch = pad_batch(config, subgraphs)
-    return _forward_backward(store, config, batch, batch.features,
-                             summary_embs, temperature)[:3]
-
-
 def inner_maximize(
     store: ParamStore,
     config: GraphEncoderConfig,
-    subgraphs: list[EgoSubgraph],
+    batch: PaddedBatch,
     summary_embs: np.ndarray,
     pert: PerturbationState,
     temperature: float,
@@ -187,7 +169,6 @@ def inner_maximize(
     backward pass that also gives its parameter gradients. With epsilon = 0
     every visited delta is 0, so a single step gives the clean gradient.
     """
-    batch = pad_batch(config, subgraphs)
     steps = pert.inner_steps if pert.epsilon > 0.0 else 1
     delta = np.zeros_like(batch.features)
     skipped = 0
@@ -234,11 +215,13 @@ def materialize_subgraphs(
     pairs: list[GraphSummaryPair],
     graphs: dict[str, TextAttributedGraph],
     sampler_cfg: SamplerConfig,
-    positional_dim: int,
-) -> list[EgoSubgraph]:
-    """Re-sample each pair's subgraph deterministically from its source graph."""
-    subgraphs = []
-    for pair in pairs:
+    config: GraphEncoderConfig,
+) -> PaddedBatch:
+    """Sample every pair's subgraph once, deterministically from its source
+    graph, into one padded batch in pair order. Pairs that share a graph and
+    a sampler seed are sampled by one ``sample_batch``."""
+    groups: dict[tuple[str, int], list[int]] = {}
+    for row, pair in enumerate(pairs):
         graph = graphs.get(pair.graph_id)
         if graph is None:
             raise ValidationError(f"pair references unknown graph {pair.graph_id!r}")
@@ -246,14 +229,25 @@ def materialize_subgraphs(
             raise ValidationError(
                 f"graph {pair.graph_id!r} has no features; attach an encoder first"
             )
-        cfg = dataclasses.replace(sampler_cfg, rng_seed=pair.sampler_seed)
-        sub = rwr_sample(graph, pair.seed_id, cfg)
-        subgraphs.append(with_positional_encodings(sub, positional_dim))
-    return subgraphs
+        groups.setdefault((pair.graph_id, pair.sampler_seed), []).append(row)
+    parts = [(rows, sample_batch(config, graphs[graph_id], [pairs[i].seed_id for i in rows],
+                                 dataclasses.replace(sampler_cfg, rng_seed=sampler_seed)))
+             for (graph_id, sampler_seed), rows in groups.items()]
+    n = max(part.features.shape[1] for _, part in parts)
+    out = PaddedBatch(np.zeros((len(pairs), n, config.text_dim)),
+                      np.zeros((len(pairs), n, config.positional_dim)),
+                      np.zeros((len(pairs), n, n)), np.zeros(len(pairs), dtype=np.int64))
+    for rows, part in parts:
+        k = part.features.shape[1]
+        out.features[rows, :k] = part.features
+        out.positional[rows, :k] = part.positional
+        out.neighbor_mean[rows, :k, :k] = part.neighbor_mean
+        out.sizes[rows] = part.sizes
+    return out
 
 
 def write_metrics_csv(path, rows: list[dict]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
+    with replacing(path) as temp, open(temp, "w", newline="", encoding="utf-8") as handle:
         writer = csv.DictWriter(handle, fieldnames=METRICS_COLUMNS)
         writer.writeheader()
         for row in rows:
@@ -293,8 +287,7 @@ def pretrain(
         gid: g if g.features is not None else attach_features(g, text_encoder)
         for gid, g in graphs.items()
     }
-    subgraphs = materialize_subgraphs(pairs, graphs, sampler_cfg,
-                                      graph_config.positional_dim)
+    subgraphs = materialize_subgraphs(pairs, graphs, sampler_cfg, graph_config)
     summary_matrix = np.vstack([text_encoder.encode(p.summary).vector for p in pairs])
 
     store = ParamStore.initialize(graph_config, seed=seed)
@@ -312,10 +305,9 @@ def pretrain(
         order = rng.permutation(len(pairs))
         for start in range(0, len(order), batch_size):
             batch_ids = order[start:start + batch_size]
-            batch_subs = [subgraphs[i] for i in batch_ids]
             batch_u = summary_matrix[batch_ids]
 
-            inner = inner_maximize(store, graph_config, batch_subs, batch_u,
+            inner = inner_maximize(store, graph_config, subgraphs.take(batch_ids), batch_u,
                                    perturbation, temperature)
             if not np.isfinite(inner.first_loss):
                 raise NonFiniteLossError(

@@ -29,8 +29,8 @@ from tagsum.graphs import (
     EgoSubgraph,
     SamplerConfig,
     TextAttributedGraph,
-    rwpe,
     rwr_walk,
+    with_positional_encodings,
 )
 from tagsum.losses import alignment_uniformity, contrastive_loss
 from tagsum.pretrain import OptimizerConfig, PerturbationState, pretrain
@@ -286,7 +286,7 @@ class TestCriterion8Oracles:
 
     def test_rwpe_two_node_alternation(self):
         sub = EgoSubgraph(0, (0, 1), np.zeros((2, 0)), ((0, 1),))
-        values = rwpe(sub, 8)
+        values = with_positional_encodings(sub, 8).positional
         expected = np.tile([0.0, 1.0], 4)
         np.testing.assert_array_equal(values[0], expected)
         np.testing.assert_array_equal(values[1], expected)

@@ -1,9 +1,12 @@
 """Zero-shot classification, link prediction, prompt tuning."""
 
+import json
 import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tagsum.adapt import (
     FewShotSplit,
@@ -24,7 +27,7 @@ from tagsum.adapt import (
 import tagsum.autodiff as ad
 from tagsum.autodiff import Tensor
 from tagsum.encoder import ParamStore, encode_batch, encode_graph_tensor, sample_batch
-from tagsum.errors import ValidationError
+from tagsum.errors import TagsumError, ValidationError
 from tagsum.graphs import TextAttributedGraph, rwr_sample, with_positional_encodings
 from tagsum.losses import supervised_contrastive_loss_tensor
 from tagsum.pretrain import AdamW, OptimizerConfig
@@ -132,6 +135,35 @@ class TestLabelAssets:
             '{"id": 2, "name": "b", "description": ""}]}')
         with pytest.raises(ValidationError):
             load_label_prompt_asset(path, text_encoder)
+
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers(-1, 3) | st.floats(allow_nan=False)
+                | st.text(max_size=8))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                               max_size=3),
+    max_leaves=8)
+LABEL_ASSETS = st.fixed_dictionaries({
+    "template": st.text(max_size=20) | JSON_VALUES,
+    "classes": JSON_VALUES | st.lists(st.fixed_dictionaries(
+        {"id": JSON_SCALARS, "name": st.text(max_size=8) | JSON_VALUES},
+        optional={"description": st.text(max_size=8) | JSON_VALUES}), max_size=3),
+})
+
+
+class TestLabelAssetAnyBytes:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.binary() | JSON_VALUES.map(json.dumps).map(str.encode)
+           | LABEL_ASSETS.map(json.dumps).map(str.encode))
+    def test_succeeds_or_raises_tagsum_error(self, tmp_path, text_encoder, raw):
+        path = tmp_path / "labels.json"
+        path.write_bytes(raw)
+        try:
+            load_label_prompt_asset(path, text_encoder)
+        except TagsumError:
+            pass
 
 
 def brute_force_auc(scores, truth):

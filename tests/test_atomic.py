@@ -1,0 +1,68 @@
+"""Artifacts are replaced atomically: a write that fails midway leaves the
+previous file as it was and no temp file behind."""
+
+import numpy as np
+import pytest
+
+from tagsum.atomic import replacing
+from tagsum.encoder import GraphEncoderConfig, ParamStore, save_checkpoint
+from tagsum.pretrain import write_metrics_csv
+
+CFG = GraphEncoderConfig(layers=1, hidden=8, heads=2, positional_dim=3, text_dim=6)
+
+
+def assert_untouched(path, before):
+    assert path.read_bytes() == before
+    assert [p.name for p in path.parent.iterdir()] == [path.name]
+
+
+class TestReplacing:
+    def test_success_replaces_the_file(self, tmp_path):
+        path = tmp_path / "report.csv"
+        path.write_text("old\n")
+        with replacing(path) as temp:
+            temp.write_text("new\n")
+            assert path.read_text() == "old\n"
+        assert path.read_text() == "new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
+
+    def test_failure_midway_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text("{}\n")
+        with pytest.raises(RuntimeError):
+            with replacing(path) as temp, open(temp, "w") as handle:
+                handle.write("{\"inputs\":")
+                raise RuntimeError("disk full")
+        assert_untouched(path, b"{}\n")
+
+    def test_failure_before_any_write_leaves_no_file(self, tmp_path):
+        path = tmp_path / "resolved_config.json"
+        with pytest.raises(KeyboardInterrupt):
+            with replacing(path):
+                raise KeyboardInterrupt
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestArtifactWriters:
+    def test_checkpoint_failing_midway_keeps_the_previous_one(self, tmp_path):
+        path = tmp_path / "checkpoint.bin"
+        store = ParamStore.initialize(CFG, seed=0)
+        save_checkpoint(path, store, CFG, {"epoch": 1})
+        before = path.read_bytes()
+        # The last tensor written cannot be converted, so the header and the
+        # earlier blobs are already out when the write fails.
+        last = store.names()[-1]
+        store.tensors[last].data = np.array(["not a number"] * 6, dtype=object)
+        with pytest.raises(ValueError):
+            save_checkpoint(path, store, CFG, {"epoch": 2})
+        assert_untouched(path, before)
+
+    def test_metrics_csv_failing_midway_keeps_the_previous_one(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        row = {"step": 0, "epoch": 0, "loss": 1.5, "alignment": 0.1, "uniformity": -1.0,
+               "delta_norm_mean": 0.0, "lr": 1e-3}
+        write_metrics_csv(path, [row, {**row, "step": 1}])
+        before = path.read_bytes()
+        with pytest.raises(KeyError):
+            write_metrics_csv(path, [row, {"step": 1}])
+        assert_untouched(path, before)

@@ -3,7 +3,9 @@
 ``perfbench/tracing.py`` wraps package functions by module and name, and
 ``perfbench/workloads.py`` imports entry points directly. Renaming or
 deleting one of them breaks only a traced benchmark run; these tests make it
-fail here too.
+fail here too. A traced toy pretraining run checks that the tracer's
+observers still read the arguments they expect (``len()`` of
+``inner_maximize``'s batch).
 """
 
 import functools
@@ -12,6 +14,12 @@ import importlib.util
 import json
 import sys
 from pathlib import Path
+
+from tagsum.encoder import GraphEncoderConfig
+from tagsum.graphs import SamplerConfig
+from tagsum.pretrain import OptimizerConfig, PerturbationState
+from tagsum.synthetic import make_synthetic_pairs, make_synthetic_tag
+from tagsum.textenc import HashTextEncoder, attach_features
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -49,3 +57,24 @@ class TestWorkloads:
         workloads = load_perfbench_module("workloads")
         declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
         assert set(workloads.WORKLOADS) == {w["name"] for w in declared["workloads"]}
+
+
+class TestTracedPretrain:
+    def test_records_the_pretraining_spans_and_ascent_attempts(self):
+        tracing = load_perfbench_module("tracing")
+        pretraining = importlib.import_module("tagsum.pretrain")
+        encoder = HashTextEncoder(dim=6)
+        graph = attach_features(make_synthetic_tag(24, seed=1, graph_id="src"), encoder)
+        pairs = make_synthetic_pairs(graph, range(12))
+        tracer = tracing.Tracer()
+        with tracer.installed():
+            pretraining.pretrain(
+                pairs, {"src": graph}, encoder,
+                GraphEncoderConfig(layers=1, hidden=8, heads=2, positional_dim=3, text_dim=6),
+                OptimizerConfig(lr=1e-3), PerturbationState(epsilon=1e-2, inner_steps=2),
+                epochs=1, batch_size=4, seed=0,
+                sampler_cfg=SamplerConfig(node_budget=5, max_steps=40))
+        recorded = {span[0] for span in tracer.spans}
+        assert {"pretrain.pretrain", "pretrain.materialize_subgraphs",
+                "pretrain.inner_maximize"} <= recorded
+        assert tracer.totals["pretrain.ascent.attempts"] > 0

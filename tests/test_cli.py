@@ -280,6 +280,26 @@ class TestErrors:
                          *SMALL])
             assert code == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("command, shots", [("eval-nc", "0"), ("tune", "2")])
+    @pytest.mark.parametrize("edit", [
+        lambda spec: spec.update(classes=[]),
+        lambda spec: spec["classes"][0].update(name=7),
+        lambda spec: spec["classes"][0].update(description=["first"]),
+        lambda spec: spec.update(template=None),
+    ], ids=["no-classes", "number-name", "list-description", "null-template"])
+    def test_malformed_label_asset_is_validation_error(self, workdir, checkpoint, tmp_path,
+                                                       capsys, command, shots, edit):
+        spec = json.loads((workdir / "labels.json").read_text())
+        edit(spec)
+        labels = tmp_path / "labels.json"
+        labels.write_text(json.dumps(spec))
+        code = main([command, "--graph", str(workdir / "graph.tsv"),
+                     "--checkpoint", str(checkpoint), "--labels", str(labels),
+                     "--out", str(tmp_path / "out"), "--shots", shots, *SMALL])
+        assert code == EXIT_VALIDATION
+        parsed = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert parsed["code"] == EXIT_VALIDATION
+
     @pytest.mark.parametrize("header", [
         [], {}, {"format_version": 1, "config": {"layers": "x"}, "tensors": []},
     ], ids=["list", "empty-object", "string-layers"])

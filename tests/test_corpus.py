@@ -13,7 +13,6 @@ from tagsum.corpus import (
     HttpLlmClient,
     LlmClientConfig,
     MockLlmClient,
-    dedup_pairs,
     generate_pairs,
     read_pairs,
     split_node_text,
@@ -184,6 +183,20 @@ class FailingClient:
         return self.mock.complete(prompt)
 
 
+class InterruptingClient:
+    """Answers like the mock for ``k`` prompts, then interrupts the run."""
+
+    def __init__(self, k):
+        self.left = k
+        self.mock = MockLlmClient()
+
+    def complete(self, prompt):
+        if not self.left:
+            raise KeyboardInterrupt
+        self.left -= 1
+        return self.mock.complete(prompt)
+
+
 class TestGeneratePairs:
     def test_one_pair_per_seed(self, graph, tmp_path):
         out = tmp_path / "pairs.jsonl"
@@ -223,6 +236,35 @@ class TestGeneratePairs:
         assert len(pairs) == 6
         assert len({p.key for p in pairs}) == 6
 
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_resume_after_a_torn_write(self, graph, tmp_path, k):
+        whole = tmp_path / "whole.jsonl"
+        generate_pairs(graph, SAMPLER, ACADEMIC_SCHEMA, "academic",
+                       MockLlmClient(), whole, retries=0)
+        out = tmp_path / "pairs.jsonl"
+        with pytest.raises(KeyboardInterrupt):
+            generate_pairs(graph, SAMPLER, ACADEMIC_SCHEMA, "academic",
+                           InterruptingClient(k), out, retries=0)
+        raw = out.read_bytes()
+        assert raw.count(b"\n") == k and raw.endswith(b"\n")
+        last = raw.rfind(b"\n", 0, len(raw) - 1) + 1
+        out.write_bytes(raw[:(last + len(raw)) // 2])     # the last record, cut in half
+        with pytest.raises(ParseError):
+            read_pairs(out)
+        report = generate_pairs(graph, SAMPLER, ACADEMIC_SCHEMA, "academic",
+                                MockLlmClient(), out, retries=0)
+        assert report.skipped_existing == k - 1
+        assert out.read_bytes() == whole.read_bytes()
+
+    def test_resume_rejects_a_malformed_complete_line(self, graph, tmp_path):
+        out = tmp_path / "pairs.jsonl"
+        write_pairs(out, [make_pair(0)])
+        with open(out, "a", encoding="utf-8") as handle:
+            handle.write("{torn\n")
+        with pytest.raises(ParseError, match="line 2"):
+            generate_pairs(graph, SAMPLER, ACADEMIC_SCHEMA, "academic",
+                           MockLlmClient(), out, retries=0)
+
     def test_parallel_generation_same_set(self, graph, tmp_path):
         seq = generate_pairs(graph, SAMPLER, ACADEMIC_SCHEMA, "academic",
                              MockLlmClient(), tmp_path / "seq.jsonl", retries=0)
@@ -240,15 +282,6 @@ class TestGeneratePairs:
             generate_pairs(graph, SAMPLER, ACADEMIC_SCHEMA, "academic",
                            MockLlmClient(), out, retries=-1)
         assert not out.exists()
-
-
-class TestDedup:
-    def test_drops_duplicate_keys_and_summaries(self):
-        a = make_pair(0, "summary one")
-        b = make_pair(0, "summary two")        # same key
-        c = make_pair(1, "summary one")        # same summary
-        d = make_pair(2, "summary three")
-        assert dedup_pairs([a, b, c, d]) == [a, d]
 
 
 class _StubHandler(BaseHTTPRequestHandler):

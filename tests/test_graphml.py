@@ -1,11 +1,14 @@
 """GraphML dialect: emission, parsing, round trips, golden conformance."""
 
 from pathlib import Path
+from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from tagsum.errors import ParseError, ValidationError
+from tagsum.errors import ParseError, TagsumError, ValidationError
 from tagsum.graphml import (
     ACADEMIC_SCHEMA,
     ECOMMERCE_SCHEMA,
@@ -93,6 +96,34 @@ class TestParse:
         sub = parsed.to_subgraph()
         assert sub.num_nodes == 2
         assert sub.edges == ((0, 1),)
+
+
+def _element(children):
+    """XML elements over the dialect's tag and attribute names."""
+    return st.builds(
+        lambda tag, attrs, text, kids: "<{0}{1}>{2}{3}</{0}>".format(
+            tag, "".join(f" {k}={quoteattr(v)}" for k, v in attrs.items()),
+            escape(text), "".join(kids)),
+        st.sampled_from(["graphml", "graph", "node", "edge", "key", "data", "x"]),
+        st.dictionaries(st.sampled_from(["id", "for", "attr.name", "source", "target", "key"]),
+                        st.sampled_from(["n0", "n1", "d0", "d2", "node", "edge", "title", ""]),
+                        max_size=3),
+        st.text(max_size=5), st.lists(children, max_size=3))
+
+
+XML_DOCUMENTS = st.recursive(st.just(""), _element, max_leaves=12)
+
+
+class TestParseAnyText:
+    @settings(max_examples=300, deadline=None)
+    @given(st.text() | XML_DOCUMENTS | XML_DOCUMENTS.map("<graphml>{}</graphml>".format))
+    @example("\ud800")
+    @example("<graphml>\udfff</graphml>")
+    def test_succeeds_or_raises_tagsum_error(self, doc):
+        try:
+            parse_graphml(doc)
+        except TagsumError:
+            pass
 
 
 class TestRoundTrip:

@@ -13,7 +13,6 @@ from tagsum.graphs import (
     TextAttributedGraph,
     induced_edges,
     load_graph,
-    rwpe,
     rwr_nodes,
     rwr_sample,
     rwr_walk,
@@ -408,18 +407,19 @@ class TestWalkIsTheSampler:
 class TestRwpe:
     def test_single_edge_period_two(self):
         sub = EgoSubgraph(0, (0, 1), np.zeros((2, 0)), ((0, 1),))
-        np.testing.assert_array_equal(
-            rwpe(sub, 3), [[0.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
+        np.testing.assert_array_equal(with_positional_encodings(sub, 3).positional,
+                                      [[0.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
 
     def test_isolated_node_zero_row(self):
         sub = EgoSubgraph(0, (0,), np.zeros((1, 0)), ())
-        np.testing.assert_array_equal(rwpe(sub, 5), np.zeros((1, 5)))
+        np.testing.assert_array_equal(with_positional_encodings(sub, 5).positional,
+                                      np.zeros((1, 5)))
 
     def test_triangle_return_probability(self):
         # Oracle: direct 3x3 multiplication of (D^-1 A)^2 gives diagonal 1/2.
         sub = EgoSubgraph(0, (0, 1, 2), np.zeros((3, 0)),
                           ((0, 1), (0, 2), (1, 2)))
-        np.testing.assert_allclose(rwpe(sub, 2),
+        np.testing.assert_allclose(with_positional_encodings(sub, 2).positional,
                                    [[0.0, 0.5]] * 3, atol=1e-15)
 
     def test_rows_in_unit_interval(self):
@@ -431,7 +431,7 @@ class TestRwpe:
                 if rng.random() < 0.4
             )
             sub = EgoSubgraph(0, tuple(range(n)), np.zeros((n, 0)), edges)
-            values = rwpe(sub, 6)
+            values = with_positional_encodings(sub, 6).positional
             assert np.all(values >= 0.0) and np.all(values <= 1.0)
 
     def test_relabeling_permutes_rows(self):
@@ -443,7 +443,8 @@ class TestRwpe:
             (min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in edges)
         sub_p = EgoSubgraph(int(perm[0]), (0, 1, 2, 3), np.zeros((4, 0)),
                             tuple(sorted(relabeled_edges)))
-        np.testing.assert_allclose(rwpe(sub, 4), rwpe(sub_p, 4)[perm],
+        np.testing.assert_allclose(with_positional_encodings(sub, 4).positional,
+                                   with_positional_encodings(sub_p, 4).positional[perm],
                                    atol=1e-15)
 
     def test_with_positional_attaches(self, tiny_graph):
@@ -458,9 +459,10 @@ class TestRwpe:
             for node in range(0, graph.num_nodes, 5):
                 sub = rwr_sample(graph, node, cfg)
                 for powers in (1, 8, 16):
-                    assert rwpe(sub, powers).tobytes() == loop_rwpe(sub, powers).tobytes()
+                    got = with_positional_encodings(sub, powers).positional
+                    assert got.tobytes() == loop_rwpe(sub, powers).tobytes()
 
     def test_rejects_zero_powers(self):
         sub = EgoSubgraph(0, (0,), np.zeros((1, 0)), ())
         with pytest.raises(ValidationError):
-            rwpe(sub, 0)
+            with_positional_encodings(sub, 0)

@@ -1,20 +1,34 @@
 """Adversarial inner loop and the outer training loop."""
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from tagsum.encoder import GraphEncoderConfig, ParamStore, load_checkpoint
+from tagsum.autodiff import Tensor
+from tagsum.corpus import GraphSummaryPair
+from tagsum.encoder import (
+    GraphEncoderConfig,
+    ParamStore,
+    encode_batch,
+    load_checkpoint,
+    pad_batch,
+)
 from tagsum.errors import NonFiniteLossError, ValidationError
-from tagsum.graphs import SamplerConfig
+from tagsum.graphs import (
+    SamplerConfig,
+    TextAttributedGraph,
+    rwr_sample,
+    with_positional_encodings,
+)
+from tagsum.losses import contrastive_loss_tensor
 from tagsum.pretrain import (
     AdamW,
     OptimizerConfig,
     PerturbationState,
     ascent_direction,
-    clean_gradients,
     inner_maximize,
     materialize_subgraphs,
     pretrain,
@@ -32,7 +46,7 @@ def small_task():
     enc = HashTextEncoder(dim=6)
     graph = attach_features(make_synthetic_tag(30, seed=1, graph_id="src"), enc)
     pairs = make_synthetic_pairs(graph, range(12))
-    subs = materialize_subgraphs(pairs, {"src": graph}, SAMPLER, CFG.positional_dim)
+    subs = materialize_subgraphs(pairs, {"src": graph}, SAMPLER, CFG)
     summaries = np.vstack([enc.encode(p.summary).vector for p in pairs])
     return enc, graph, pairs, subs, summaries
 
@@ -77,22 +91,85 @@ class TestProjection:
                                       np.zeros((2, 2)))
 
 
+class TestMaterializeSubgraphs:
+    """Pairs are sampled once into one padded batch; a step's rows equal
+    ``pad_batch`` of the same pairs sampled one at a time."""
+
+    SAMPLER = SamplerConfig(restart_prob=0.7, node_budget=6, max_steps=8)
+
+    @pytest.fixture(scope="class")
+    def task(self):
+        enc = HashTextEncoder(dim=6)
+        src = attach_features(make_synthetic_tag(30, seed=1, graph_id="src"), enc)
+        # Node 0 is isolated: its subgraph is the seed alone.
+        other = attach_features(TextAttributedGraph.from_edges(
+            8, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (1, 7), (2, 5)],
+            [f"node {i}" for i in range(8)], graph_id="other"), enc)
+        pairs = []
+        for i in range(24):
+            graph_id, seed_id = ("src", i) if i % 2 else ("other", i % 8)
+            pairs.append(GraphSummaryPair(graph_id, seed_id, 7 * (i % 3 == 0),
+                                          "academic", "s", 1))
+        return {"src": src, "other": other}, pairs
+
+    def reference(self, graphs, pairs):
+        return pad_batch(CFG, [with_positional_encodings(
+            rwr_sample(graphs[p.graph_id], p.seed_id,
+                       dataclasses.replace(self.SAMPLER, rng_seed=p.sampler_seed)),
+            CFG.positional_dim) for p in pairs])
+
+    def test_rows_equal_pad_batch_of_sampled_subgraphs(self, task):
+        graphs, pairs = task
+        batch = materialize_subgraphs(pairs, graphs, self.SAMPLER, CFG)
+        assert len(batch) == len(pairs)
+        assert {(p.graph_id, p.sampler_seed) for p in pairs} == {
+            ("src", 0), ("src", 7), ("other", 0), ("other", 7)}
+        assert 1 in batch.sizes.tolist() and len(set(batch.sizes.tolist())) >= 3
+        rng = np.random.default_rng(0)
+        row_sets = [np.arange(len(pairs)), rng.permutation(len(pairs))[:5],
+                    np.flatnonzero(batch.sizes == 1), np.flatnonzero(batch.sizes <= 3)[::-1]]
+        row_sets += [rng.choice(len(pairs), size=k, replace=False) for k in (1, 4, 16)]
+        for rows in row_sets:
+            got = batch.take(rows)
+            want = self.reference(graphs, [pairs[i] for i in rows])
+            assert len(got) == len(rows)
+            for name in ("features", "positional", "neighbor_mean", "sizes"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.shape == b.shape, name
+                assert a.tobytes() == b.tobytes(), name
+
+    def test_unknown_graph_rejected(self, task):
+        graphs, pairs = task
+        with pytest.raises(ValidationError, match="unknown graph 'other'"):
+            materialize_subgraphs(pairs, {"src": graphs["src"]}, self.SAMPLER, CFG)
+
+    def test_featureless_graph_rejected(self, task):
+        graphs, pairs = task
+        bare = dataclasses.replace(graphs["other"], features=None)
+        with pytest.raises(ValidationError, match="has no features"):
+            materialize_subgraphs(pairs, {**graphs, "other": bare}, self.SAMPLER, CFG)
+
+
 class TestInnerMaximize:
     def test_epsilon_zero_equals_clean(self, small_task):
         _, _, _, subs, summaries = small_task
         store = ParamStore.initialize(CFG, seed=0)
         pert = PerturbationState(epsilon=0.0, inner_steps=3)
-        result = inner_maximize(store, CFG, subs[:4], summaries[:4], pert, 0.1)
-        grads, loss, _ = clean_gradients(store, CFG, subs[:4], summaries[:4], 0.1)
-        assert result.final_loss == loss
-        for name in grads:
-            np.testing.assert_array_equal(result.gradients[name], grads[name])
+        batch = subs.take([0, 1, 2, 3])
+        result = inner_maximize(store, CFG, batch, summaries[:4], pert, 0.1)
+        h, _ = encode_batch(store, CFG, batch)
+        loss = contrastive_loss_tensor(h, Tensor(summaries[:4]), 0.1)
+        store.zero_grads()
+        loss.backward()
+        assert result.final_loss == loss.item()
+        for name, grad in store.gradients().items():
+            np.testing.assert_array_equal(result.gradients[name], grad)
 
     def test_block_norms_bounded(self, small_task):
         _, _, _, subs, summaries = small_task
         store = ParamStore.initialize(CFG, seed=0)
         pert = PerturbationState(epsilon=1e-2, inner_steps=3)
-        result = inner_maximize(store, CFG, subs[:4], summaries[:4], pert, 0.1)
+        result = inner_maximize(store, CFG, subs.take([0, 1, 2, 3]), summaries[:4], pert, 0.1)
         assert result.max_block_norm <= 1e-2 + 1e-12
         assert np.all(result.delta_norms <= 1e-2 + 1e-12)
 
@@ -106,9 +183,8 @@ class TestInnerMaximize:
         for trial in range(trials):
             store = ParamStore.initialize(CFG, seed=trial)
             ids = rng.choice(len(subs), size=4, replace=False)
-            batch = [subs[i] for i in ids]
             pert = PerturbationState(epsilon=1e-2, inner_steps=3)
-            result = inner_maximize(store, CFG, batch, summaries[ids], pert, 0.1)
+            result = inner_maximize(store, CFG, subs.take(ids), summaries[ids], pert, 0.1)
             if result.final_loss >= result.first_loss - 1e-12:
                 wins += 1
         assert wins >= 95
@@ -117,7 +193,7 @@ class TestInnerMaximize:
         _, _, _, subs, summaries = small_task
         store = ParamStore.initialize(CFG, seed=0)
         pert = PerturbationState(epsilon=1e-3, norm_p=float("inf"), inner_steps=2)
-        result = inner_maximize(store, CFG, subs[:3], summaries[:3], pert, 0.1)
+        result = inner_maximize(store, CFG, subs.take([0, 1, 2]), summaries[:3], pert, 0.1)
         for block in result.delta_blocks:
             assert np.abs(block).max() <= 1e-3 + 1e-15
 
@@ -127,11 +203,11 @@ class TestInnerMaximize:
         _, _, _, subs, summaries = small_task
         store = ParamStore.initialize(CFG, seed=0)
         pert = PerturbationState(epsilon=1e-2, inner_steps=3)
-        result = inner_maximize(store, CFG, subs[:1], summaries[:1], pert, 0.1)
+        result = inner_maximize(store, CFG, subs.take([0]), summaries[:1], pert, 0.1)
         assert result.skipped_zero_grad_steps == 3
         assert result.final_loss == 0.0
         np.testing.assert_array_equal(result.delta_blocks[0],
-                                      np.zeros_like(subs[0].features))
+                                      np.zeros((subs.sizes[0], CFG.text_dim)))
 
 
 class TestAdamW:

@@ -4,14 +4,15 @@ Zero-shot classification embeds each class as a rendered label sentence and
 picks the nearest one by cosine similarity (ties break to the lowest class
 id). Link prediction scores an edge as the cosine of its endpoints'
 subgraph embeddings; the sampler excludes the scored edge, so neither
-endpoint sees it and the graph is never copied. Evaluation samples and
-encodes nodes in fixed-size chunks: each chunk's padded batch is built
-straight from the graph by ``encoder.sample_batch`` and encoded with no
-autodiff tape. Prompt tuning learns a single shared feature offset added to
-every node feature, trained with a supervised contrastive loss against label
+endpoint sees it and the graph is never copied. Evaluation walks every
+node in one ``graphs.rwr_batch`` call, then encodes the subgraphs in
+fixed-size chunks: each chunk's padded batch is built straight from the
+graph by ``encoder.subgraph_batch`` and encoded with no autodiff tape.
+Prompt tuning learns a single shared feature offset added to every node
+feature, trained with a supervised contrastive loss against label
 sentences while both towers stay frozen: the tape sees the graph tower's
-weights as constants, so backward computes no tower gradient. Each epoch's
-batch comes from ``sample_batch`` too.
+weights as constants, so backward computes no tower gradient. The walks of
+all epochs run in one ``rwr_batch`` call up front.
 """
 
 from __future__ import annotations
@@ -25,17 +26,17 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .encoder import GraphEncoderConfig, ParamStore, embed_batch, encode_batch, sample_batch
+from .encoder import GraphEncoderConfig, ParamStore, embed_batch, encode_batch, subgraph_batch
 from .errors import ValidationError
-from .graphs import SamplerConfig, TextAttributedGraph
+from .graphs import SamplerConfig, TextAttributedGraph, rwr_batch
 from .losses import supervised_contrastive_loss_tensor
 from .pretrain import AdamW, OptimizerConfig
 from .prompts import render_label_sentence
 from .textenc import Embedding
 
 _MASK32 = (1 << 32) - 1
-# Subgraphs sampled and encoded per inference batch. Chunks are streamed so a
-# run never holds more than one batch of subgraphs.
+# Subgraphs encoded per inference batch. Chunks are streamed so a run never
+# holds more than one padded batch.
 INFERENCE_CHUNK = 16
 
 
@@ -90,8 +91,10 @@ def load_label_prompt_asset(path, text_encoder) -> LabelPromptSet:
             f"malformed label asset {path}: {type(exc).__name__}: {exc}") from exc
     if not classes:
         raise ValidationError(f"label asset {path} has no classes")
-    if [c["id"] for c in classes] != list(range(len(classes))):
-        raise ValidationError("class ids must be 0..C-1 with no gaps")
+    ids = [c["id"] for c in classes]
+    # Exact int: JSON true and 0.0 compare equal to the ids 1 and 0.
+    if any(type(i) is not int for i in ids) or ids != list(range(len(classes))):
+        raise ValidationError("class ids must be the integers 0..C-1 with no gaps")
     for text in (template, *names, *descriptions):
         if not isinstance(text, str):
             raise ValidationError(f"label asset {path}: template, class names and "
@@ -148,7 +151,7 @@ def zero_shot_classify(h, labels: LabelPromptSet) -> tuple[int, np.ndarray]:
 
 
 def _node_sampler_cfg(base: SamplerConfig, run_seed: int) -> SamplerConfig:
-    # One deterministic stream per evaluation run; rwr_sample mixes in the
+    # One deterministic stream per evaluation run; the walker mixes in the
     # node id itself.
     return dataclasses.replace(base, rng_seed=(base.rng_seed * 0x9E3779B1 + run_seed) & _MASK32)
 
@@ -163,15 +166,17 @@ def _embed_nodes(
     feature_offset: np.ndarray | None = None,
 ) -> np.ndarray:
     """Embeddings (len(nodes), d) of each node's ego-subgraph with positional
-    encodings, ``INFERENCE_CHUNK`` subgraphs per batch.
+    encodings: all walks at once, then ``INFERENCE_CHUNK`` subgraphs per batch.
 
     ``excluded[i]`` is an edge left out when sampling ``nodes[i]``, or None.
     """
+    node_sets = rwr_batch(graph, nodes, [sampler_cfg.rng_seed] * len(nodes), sampler_cfg,
+                          excluded)
     out = np.empty((len(nodes), config.text_dim))
     for start in range(0, len(nodes), INFERENCE_CHUNK):
         stop = min(start + INFERENCE_CHUNK, len(nodes))
-        batch = sample_batch(config, graph, nodes[start:stop], sampler_cfg,
-                             None if excluded is None else excluded[start:stop])
+        batch = subgraph_batch(config, graph, node_sets[start:stop],
+                               None if excluded is None else excluded[start:stop])
         out[start:stop] = embed_batch(store, config, batch, feature_offset)
     return out
 
@@ -444,12 +449,17 @@ def prompt_tune(
     sigma = Tensor(np.zeros(config.text_dim), requires_grad=True)
     optimizer = AdamW({"sigma": sigma},
                       OptimizerConfig(lr=lr, weight_decay=weight_decay))
+    # Fresh subgraph draws per epoch keep sigma from overfitting one sample
+    # of each shot's neighborhood: epoch e walks on its own stream seed.
+    shots = len(split.train_ids)
+    epoch_seeds = [_node_sampler_cfg(sampler_cfg, split.seed * 1009 + epoch).rng_seed
+                   for epoch in range(epochs)]
+    node_sets = rwr_batch(graph, list(split.train_ids) * epochs,
+                          np.repeat(epoch_seeds, shots), sampler_cfg, None)
     losses = []
     for epoch in range(epochs):
-        # Fresh subgraph draws per epoch keep sigma from overfitting one
-        # sample of each shot's neighborhood.
-        epoch_cfg = _node_sampler_cfg(sampler_cfg, split.seed * 1009 + epoch)
-        batch = sample_batch(config, graph, split.train_ids, epoch_cfg)
+        batch = subgraph_batch(config, graph, node_sets[epoch * shots:(epoch + 1) * shots],
+                               None)
         # sigma also lands on padded slots, which the encoder ignores.
         z, _ = encode_batch(frozen, config, batch, ad.add(Tensor(batch.features), sigma))
         loss = supervised_contrastive_loss_tensor(

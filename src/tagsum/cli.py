@@ -35,7 +35,7 @@ from .encoder import (
 from .errors import NonFiniteLossError, TagsumError, ValidationError
 from .gradcheck import run_grad_check
 from .graphml import DOMAIN_SCHEMAS, GraphMLSchema, emit_graphml
-from .graphs import SamplerConfig, load_graph, rwr_sample
+from .graphs import SamplerConfig, induced_subgraph, load_graph, rwr_batch
 from .pretrain import OptimizerConfig, PerturbationState, pretrain
 from .textenc import HashTextEncoder, TableTextEncoder, attach_features
 from .theory import verify_proposition, verify_theorem_bound
@@ -284,8 +284,10 @@ def cmd_sample(cfg: dict, run: RunDir) -> int:
     count = cfg["corpus"]["num_seeds"] or graph.num_nodes
     out = run.path / "subgraphs"
     out.mkdir(exist_ok=True)
-    for seed in range(min(count, graph.num_nodes)):
-        sub = rwr_sample(graph, seed, sampler)
+    seeds = range(min(count, graph.num_nodes))
+    walks = rwr_batch(graph, seeds, [sampler.rng_seed] * len(seeds), sampler, None)
+    for seed, node_ids in zip(seeds, walks):
+        sub = induced_subgraph(graph, seed, node_ids, None)
         texts = corpus_mod.subgraph_node_texts(graph, sub, schema,
                                                cfg["corpus"]["truncate_chars"])
         (out / f"seed{seed}.graphml").write_text(

@@ -22,7 +22,7 @@ import requests
 
 from .errors import ParseError, ValidationError, parse_json_object
 from .graphml import GraphMLSchema, emit_graphml, parse_graphml
-from .graphs import EgoSubgraph, SamplerConfig, TextAttributedGraph, rwr_sample
+from .graphs import EgoSubgraph, SamplerConfig, TextAttributedGraph, induced_subgraph, rwr_batch
 from .prompts import DOMAINS, render_summary_prompt
 
 
@@ -92,12 +92,19 @@ def _parse_pair(line: str, lineno: int) -> GraphSummaryPair:
     for name, kind in _PAIR_FIELDS.items():
         if name not in record:
             raise ParseError(f"missing field {name!r}", line=lineno)
-        if not isinstance(record[name], kind):
+        value = record[name]
+        # Exact types: JSON true and false load as bool, a subclass of int.
+        if type(value) is not kind:
             raise ParseError(
-                f"field {name!r} should be {kind.__name__}, got "
-                f"{type(record[name]).__name__}",
+                f"field {name!r} should be {kind.__name__}, got {type(value).__name__}",
                 line=lineno,
             )
+        if kind is str:
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError as exc:      # a lone surrogate from a JSON escape
+                raise ParseError(f"field {name!r}: {exc.reason} in {value!r:.40}",
+                                 line=lineno) from None
     try:
         return GraphSummaryPair(**{k: record[k] for k in _PAIR_FIELDS})
     except ValidationError as exc:
@@ -266,7 +273,9 @@ def generate_pairs(
     lock = threading.Lock()
 
     def produce(seed: int):
-        sub = rwr_sample(graph, seed, sampler_cfg)
+        if seed not in walks:
+            raise ValidationError(f"seed node {seed} out of range")
+        sub = induced_subgraph(graph, seed, walks[seed], None)
         texts = subgraph_node_texts(graph, sub, schema, truncate_chars)
         doc = emit_graphml(sub, schema, texts)
         prompt = render_summary_prompt(doc, domain, sub.center_local_id)
@@ -307,6 +316,11 @@ def generate_pairs(
         else:
             todo.append(seed)
 
+    # Every walk runs before the first request; a seed outside the graph
+    # fails on its own, like a request that exhausts its retries.
+    valid = [seed for seed in todo if 0 <= seed < graph.num_nodes]
+    walks = dict(zip(valid, rwr_batch(graph, valid, [sampler_cfg.rng_seed] * len(valid),
+                                      sampler_cfg, None)))
     if max_in_flight > 1:
         with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
             list(pool.map(handle, todo))

@@ -52,12 +52,10 @@ from .autodiff import Tensor
 from .errors import ShapeError, ValidationError
 from .graphs import (
     EgoSubgraph,
-    SamplerConfig,
     TextAttributedGraph,
     batched_rwpe,
     degree_normalized,
     induced_edges,
-    rwr_nodes,
 )
 from .textenc import Embedding
 
@@ -263,28 +261,24 @@ def pad_batch(config: GraphEncoderConfig, subgraphs: list[EgoSubgraph]) -> Padde
     return PaddedBatch(features, positional, degree_normalized(adjacency), sizes)
 
 
-def sample_batch(
+def subgraph_batch(
     config: GraphEncoderConfig,
     graph: TextAttributedGraph,
-    nodes,
-    sampler_cfg: SamplerConfig,
-    excluded=None,
+    node_sets,
+    excluded,
 ) -> PaddedBatch:
-    """Sample each node's ego-subgraph and stack them, with positional
-    encodings, into one padded batch built straight from the graph.
+    """Stack the subgraphs induced on ``node_sets`` (sorted ids, as
+    ``rwr_batch`` returns them), with positional encodings, into one padded
+    batch built straight from the graph.
 
-    Every field equals ``pad_batch(config, [with_positional_encodings(
-    rwr_sample(graph, node, sampler_cfg, exclude), config.positional_dim)])``
-    over the nodes; only the walks run per node. ``excluded[i]`` is an edge
-    left out when sampling ``nodes[i]``, or None.
+    Every field equals ``pad_batch`` of the same walks sampled one at a
+    time, ``with_positional_encodings(rwr_sample(graph, node, cfg,
+    exclude), config.positional_dim)``. ``excluded`` is None or holds, per
+    set, an edge left out or None.
     """
     if graph.features is None or graph.features.shape[1] != config.text_dim:
         shape = None if graph.features is None else graph.features.shape
         raise ShapeError(f"graph features: expected (n, {config.text_dim}), got {shape}")
-    if excluded is None:
-        excluded = [None] * len(nodes)
-    node_sets = [rwr_nodes(graph, int(node), sampler_cfg, exclude)
-                 for node, exclude in zip(nodes, excluded)]
     sizes = np.array([len(ids) for ids in node_sets])
     b, n = len(node_sets), int(sizes.max())
     real = np.arange(n) < sizes[:, None]

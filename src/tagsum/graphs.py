@@ -18,7 +18,6 @@ distinct labels; per-node label ids index into that list (-1 = unlabeled).
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -28,7 +27,7 @@ import numpy as np
 from .errors import ParseError, ValidationError
 
 _MASK64 = (1 << 64) - 1
-# Uniforms drawn per refill of a walk's generator (see ``_uniforms``).
+# Uniforms drawn per refill of a walker's stream (see ``_Streams``).
 _UNIFORM_BLOCK = 64
 
 
@@ -282,71 +281,211 @@ def save_graph(graph: TextAttributedGraph, path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _sampler_rng(cfg: SamplerConfig, seed_node: int) -> np.random.Generator:
-    # Mixing the seed node in keeps per-node streams independent while the
-    # (graph, seed, cfg) -> subgraph map stays a pure function.
-    entropy = np.random.SeedSequence([cfg.rng_seed & _MASK64, seed_node])
-    return np.random.Generator(np.random.PCG64(entropy))
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and the
+# PCG64 multiplier (numpy/random/src/pcg64/pcg64.h).
+_INIT_A, _MULT_A = np.uint32(0x43B0D7E5), np.uint32(0x931E8875)
+_INIT_B, _MULT_B = np.uint32(0x8B51F9DD), np.uint32(0x58F38DED)
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_POOL_SIZE = 4
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK128 = (1 << 128) - 1
+# PCG64's state after _UNIFORM_BLOCK steps from s is JUMP_MULT * s + JUMP_ADD * inc.
+_JUMP_MULT = pow(_PCG_MULT, _UNIFORM_BLOCK, 1 << 128)
+_JUMP_ADD = sum(pow(_PCG_MULT, k, 1 << 128) for k in range(_UNIFORM_BLOCK)) & _MASK128
 
 
-def _walk(neighbors, seed_node: int, restart_prob: float, draw):
-    """Positions of a random walk with restart from the seed, one per
-    transition. ``draw()`` returns the next uniform: one decides the restart,
-    a second picks the neighbor. Dead ends restart unconditionally."""
-    current = seed_node
-    while True:
-        if draw() < restart_prob:
-            current = seed_node
-        else:
-            local = neighbors[current]
-            current = int(local[int(draw() * len(local))]) if len(local) else seed_node
-        yield current
+def _seed_pools(rng_seeds, nodes) -> np.ndarray:
+    """(W, 4) uint32: row i equals ``SeedSequence([rng_seeds[i] & _MASK64,
+    nodes[i]]).pool``, computed for all rows at once.
+
+    The entropy words are the seed's one or two 32-bit words, then the
+    node's one (nodes are below 2^32). That is at most 3 words, fewer than
+    the pool, so numpy pads with zeros exactly as the rows here do.
+    """
+    seeds = np.array([int(s) & _MASK64 for s in rng_seeds], dtype=np.uint64)
+    nodes = np.asarray(nodes, dtype=np.uint64).astype(np.uint32)
+    high = (seeds >> np.uint64(32)).astype(np.uint32)
+    wide = high != 0
+    entropy = np.zeros((_POOL_SIZE, seeds.size), dtype=np.uint32)
+    entropy[0] = seeds.astype(np.uint32)
+    entropy[1] = np.where(wide, high, nodes)
+    entropy[2] = np.where(wide, nodes, 0)
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A
+        value = value * hash_const
+        return value ^ (value >> _XSHIFT)
+
+    with np.errstate(over="ignore"):
+        mixer = [hashmix(word) for word in entropy]
+        for i_src in range(_POOL_SIZE):
+            for i_dst in range(_POOL_SIZE):
+                if i_src != i_dst:
+                    mixed = _MIX_MULT_L * mixer[i_dst] - _MIX_MULT_R * hashmix(mixer[i_src])
+                    mixer[i_dst] = mixed ^ (mixed >> _XSHIFT)
+    return np.stack(mixer, axis=1)
 
 
-def rwr_walk(
+def _pcg64_states(pools: np.ndarray) -> np.ndarray:
+    """(W, 4) uint64: the 128-bit ``state`` and ``inc`` of
+    ``PCG64(seed_sequence)`` for each row of pools, as their high and low
+    words: ``generate_state(4, uint64)`` vectorized, then PCG's seeding."""
+    words = np.empty((2 * _POOL_SIZE, pools.shape[0]), dtype=np.uint64)
+    hash_const = _INIT_B
+    with np.errstate(over="ignore"):
+        for i in range(2 * _POOL_SIZE):
+            value = pools[:, i % _POOL_SIZE] ^ hash_const
+            hash_const = hash_const * _MULT_B
+            value = value * hash_const
+            words[i] = value ^ (value >> _XSHIFT)
+    high, low, inc_high, inc_low = (words[0::2] | (words[1::2] << np.uint64(32))).tolist()
+    # PCG's seeding: inc = 2 * initseq + 1, then two LCG steps from state 0
+    # with initstate added in between.
+    incs = [(((a << 64) | b) << 1 | 1) & _MASK128 for a, b in zip(inc_high, inc_low)]
+    seeded = [((inc + ((a << 64) | b)) * _PCG_MULT + inc) & _MASK128
+              for inc, a, b in zip(incs, high, low)]
+    states = np.empty((pools.shape[0], 4), dtype=np.uint64)
+    for column, values in enumerate((seeded, incs)):
+        states[:, 2 * column] = [value >> 64 for value in values]
+        states[:, 2 * column + 1] = [value & _MASK64 for value in values]
+    return states
+
+
+class _Streams:
+    """One uniform stream per walker: numpy's PCG64 seeded from
+    ``SeedSequence([rng_seed & _MASK64, seed_node])``, drawn
+    ``_UNIFORM_BLOCK`` at a time into the walker's row of a buffer.
+
+    A refill sets one shared generator to the walker's state, so no
+    generator is built per walker. ``random(k)`` yields the same values as
+    k scalar draws, one PCG64 step each, so blocks change no walk. States
+    are kept as uint64 words, not Python ints, so a request allocates no
+    object per walker; that kept the process heap from growing job by job.
+    """
+
+    def __init__(self, rng_seeds, nodes):
+        self._states = _pcg64_states(_seed_pools(rng_seeds, nodes))
+        self._block = np.empty((len(self._states), _UNIFORM_BLOCK))
+        self._used = np.full(len(self._states), _UNIFORM_BLOCK)
+        self._rng = np.random.Generator(np.random.PCG64())
+        self._setting = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
+
+    def draw(self, walkers: np.ndarray) -> np.ndarray:
+        """The next uniform of each of the (distinct) walkers."""
+        used = self._used[walkers]
+        spent = used == _UNIFORM_BLOCK
+        for walker in walkers[spent].tolist():
+            high, low, inc_high, inc_low = self._states[walker].tolist()
+            state, inc = (high << 64) | low, (inc_high << 64) | inc_low
+            self._setting["state"] = {"state": state, "inc": inc}
+            self._rng.bit_generator.state = self._setting
+            self._rng.random(out=self._block[walker])
+            state = (_JUMP_MULT * state + _JUMP_ADD * inc) & _MASK128
+            self._states[walker, 0] = state >> 64
+            self._states[walker, 1] = state & _MASK64
+        used[spent] = 0
+        self._used[walkers] = used + 1
+        return self._block[walkers, used]
+
+
+def _excluded_entries(graph: TextAttributedGraph, excluded):
+    """Per walker, the endpoints ``(a, b)`` of its excluded edge and the
+    CSR positions of its two entries, b in a's row and a in b's. Walkers
+    without one get endpoints -1 and positions past the CSR arrays."""
+    n = graph.num_nodes
+    indptr, indices = graph.csr
+    ends = np.full((len(excluded), 2), -1, dtype=np.int64)
+    entries = np.full((len(excluded), 2), indices.size, dtype=np.int64)
+    chosen = [i for i, edge in enumerate(excluded) if edge is not None]
+    if not chosen:
+        return ends, entries
+    pairs = np.array([[int(x) for x in excluded[i]] for i in chosen], dtype=np.int64)
+    # CSR entries are sorted by (row, neighbor); after them comes a key above
+    # every wanted one. One searchsorted finds all entries.
+    keys = np.append(np.repeat(np.arange(n), np.diff(indptr)) * n + indices, n * n)
+    inside = np.all((pairs >= 0) & (pairs < n), axis=1)
+    wanted = np.where(inside[:, None], pairs * n + pairs[:, ::-1], -1)
+    found = np.searchsorted(keys, wanted)
+    present = np.all(keys[found] == wanted, axis=1)
+    if not present.all():
+        u, v = pairs[np.argmin(present)].tolist()
+        raise ValidationError(f"edge {(min(u, v), max(u, v))} not present")
+    ends[chosen], entries[chosen] = pairs, found
+    return ends, entries
+
+
+def rwr_batch(
     graph: TextAttributedGraph,
-    seed_node: int,
-    restart_prob: float,
-    num_steps: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Positions visited after each of ``num_steps`` transitions from the seed."""
-    walk = _walk(graph.neighbors, seed_node, restart_prob, rng.random)
-    return np.fromiter(itertools.islice(walk, num_steps), dtype=np.int64, count=num_steps)
+    seed_nodes,
+    rng_seeds,
+    cfg: SamplerConfig,
+    excluded,
+) -> list[np.ndarray]:
+    """Sorted node ids visited by a random walk with restart from each seed.
 
+    All walkers advance together over the graph's CSR arrays. Each
+    transition draws one uniform to decide the restart and, unless it
+    restarts or stands at a dead end (which restarts unconditionally), a
+    second to pick a neighbor. Walker i stops once ``cfg.node_budget``
+    distinct nodes were visited or ``cfg.max_steps`` transitions elapsed,
+    and always contains its seed.
 
-class _PrunedNeighbors:
-    """A graph's neighbor arrays with one undirected edge removed.
-
-    Only the two endpoints get new arrays (O(degree)); every other node reads
-    the graph's cached ones. The arrays equal those of
-    ``graph.without_edge(u, v).neighbors``.
+    Walker i draws from the stream of ``SeedSequence([rng_seeds[i] &
+    _MASK64, seed_nodes[i]])``: ``rng_seeds[i]`` takes the place of
+    ``cfg.rng_seed``, and a walk depends on nothing else in the batch.
+    ``excluded`` is None or holds, per walker, an edge of the graph to leave
+    out or None: the walk is then exactly that on ``graph.without_edge``,
+    without copying the graph.
     """
-
-    __slots__ = ("_base", "_pruned")
-
-    def __init__(self, graph: TextAttributedGraph, edge: tuple[int, int]):
-        u, v = int(edge[0]), int(edge[1])
-        base = graph.neighbors
-        if not (0 <= u < graph.num_nodes and 0 <= v < graph.num_nodes) \
-                or not np.any(base[u] == v):
-            raise ValidationError(f"edge {(min(u, v), max(u, v))} not present")
-        self._base = base
-        self._pruned = {u: base[u][base[u] != v], v: base[v][base[v] != u]}
-
-    def __getitem__(self, node: int) -> np.ndarray:
-        pruned = self._pruned.get(node)
-        return self._base[node] if pruned is None else pruned
-
-
-def _uniforms(rng: np.random.Generator):
-    """The generator's uniform stream, drawn ``_UNIFORM_BLOCK`` at a time.
-
-    ``rng.random(k)`` yields the same values as k scalar draws, so blocks
-    change no walk; they only bound how far ahead of it the generator runs.
-    """
-    while True:
-        yield from rng.random(_UNIFORM_BLOCK).tolist()
+    try:
+        seeds = np.array(seed_nodes, dtype=np.int64).reshape(-1)
+    except OverflowError:
+        raise ValidationError("seed node out of range") from None
+    if seeds.size and graph.num_nodes == 0:
+        raise ValidationError("cannot sample from an empty graph")
+    outside = (seeds < 0) | (seeds >= graph.num_nodes)
+    if outside.any():
+        raise ValidationError(f"seed node {seeds[outside][0]} out of range")
+    ends, entries = _excluded_entries(
+        graph, [None] * seeds.size if excluded is None else excluded)
+    indptr, indices = graph.csr
+    # Past num_nodes distinct nodes the visited set cannot grow.
+    budget = min(cfg.node_budget, max(graph.num_nodes, 1))
+    visited = np.full((seeds.size, budget), -1, dtype=np.int64)
+    visited[:, 0] = seeds
+    count = np.ones(seeds.size, dtype=np.int64)
+    streams = _Streams(rng_seeds, seeds)
+    # The walkers still running, and their seeds, positions and excluded edges.
+    live = np.flatnonzero(count < budget)
+    origin, current, ends, entries = seeds[live], seeds[live], ends[live], entries[live]
+    for _ in range(cfg.max_steps):
+        if not live.size:
+            break
+        stay = streams.draw(live) < cfg.restart_prob
+        start = indptr[current]
+        # The CSR position the walker may not take from here, or indices.size.
+        skip = np.where(current == ends[:, 0], entries[:, 0],
+                        np.where(current == ends[:, 1], entries[:, 1], indices.size))
+        degree = indptr[current + 1] - start - (skip < indices.size)
+        moves = (~stay & (degree > 0)).nonzero()[0]
+        position = start[moves] + (streams.draw(live[moves]) * degree[moves]).astype(np.int64)
+        position += position >= skip[moves]
+        current = origin.copy()
+        current[moves] = indices[position]
+        fresh = ~(visited[live] == current[:, None]).any(axis=1)
+        grown = live[fresh]
+        visited[grown, count[grown]] = current[fresh]
+        count[grown] += 1
+        going = count[live] < budget
+        if not going.all():
+            live, origin, current, ends, entries = (
+                a[going] for a in (live, origin, current, ends, entries))
+    visited.sort(axis=1)
+    return [row[budget - size:] for row, size in zip(visited, count.tolist())]
 
 
 def rwr_nodes(
@@ -355,32 +494,12 @@ def rwr_nodes(
     cfg: SamplerConfig,
     exclude: tuple[int, int] | None = None,
 ) -> tuple[int, ...]:
-    """Sorted node ids visited by a random walk with restart from the seed.
-
-    The walk runs until ``node_budget`` distinct nodes were visited or
-    ``max_steps`` transitions elapsed, and always contains the seed. It is
-    ``rwr_walk`` on the per-node generator ``_sampler_rng(cfg, seed_node)``,
-    cut at the budget. Deterministic given (graph, seed_node, cfg).
-
-    ``exclude`` names an edge of the graph to leave out: the walk is exactly
-    that on ``graph.without_edge(*exclude)``, without copying the graph.
-    """
-    if graph.num_nodes == 0:
-        raise ValidationError("cannot sample from an empty graph")
-    if not 0 <= seed_node < graph.num_nodes:
-        raise ValidationError(f"seed node {seed_node} out of range")
-
-    neighbors = graph.neighbors if exclude is None else _PrunedNeighbors(graph, exclude)
-    walk = _walk(neighbors, seed_node, cfg.restart_prob,
-                 _uniforms(_sampler_rng(cfg, seed_node)).__next__)
-    budget = cfg.node_budget
-    visited = {seed_node}
-    if budget > 1:                      # else the seed alone fills the budget
-        for current in itertools.islice(walk, cfg.max_steps):
-            visited.add(current)
-            if len(visited) >= budget:
-                break
-    return tuple(sorted(visited))
+    """Sorted node ids visited by a random walk with restart from the seed:
+    ``rwr_batch`` with one walker on ``cfg.rng_seed``. Deterministic given
+    (graph, seed_node, cfg); ``exclude`` names an edge of the graph to
+    leave out."""
+    ids = rwr_batch(graph, [seed_node], [cfg.rng_seed], cfg, [exclude])[0]
+    return tuple(ids.tolist())
 
 
 def induced_edges(
@@ -398,8 +517,7 @@ def induced_edges(
     indptr, indices = graph.csr
     sizes = np.array([len(ids) for ids in node_sets], dtype=np.int64)
     first = np.cumsum(sizes) - sizes                       # offset of each set
-    ids = np.fromiter(itertools.chain.from_iterable(node_sets), dtype=np.int64,
-                      count=int(sizes.sum()))
+    ids = np.concatenate(node_sets).astype(np.int64, copy=False)
     owner = np.repeat(np.arange(len(sizes)), sizes)
     # One entry per (member, neighbor) pair, members in order, neighbors sorted.
     starts = indptr[ids]
@@ -432,7 +550,18 @@ def rwr_sample(
     """Sample an ego-subgraph by random walk with restart: the subgraph
     induced on ``rwr_nodes(graph, seed_node, cfg, exclude)``, without the
     excluded edge."""
-    global_ids = rwr_nodes(graph, seed_node, cfg, exclude)
+    return induced_subgraph(graph, seed_node, rwr_nodes(graph, seed_node, cfg, exclude), exclude)
+
+
+def induced_subgraph(
+    graph: TextAttributedGraph,
+    seed_node: int,
+    global_ids,
+    exclude: tuple[int, int] | None,
+) -> EgoSubgraph:
+    """The subgraph induced on the sorted ids ``global_ids``, rooted at the
+    seed and without the excluded edge (None for none)."""
+    global_ids = tuple(int(g) for g in global_ids)
     _, local_u, local_v = induced_edges(graph, [global_ids],
                                         None if exclude is None else [exclude])
     if graph.features is not None:

@@ -12,7 +12,6 @@ so that case runs a single pass.
 from __future__ import annotations
 
 import csv
-import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,11 +25,11 @@ from .encoder import (
     PaddedBatch,
     ParamStore,
     encode_batch,
-    sample_batch,
     save_checkpoint,
+    subgraph_batch,
 )
 from .errors import NonFiniteLossError, ValidationError
-from .graphs import SamplerConfig, TextAttributedGraph
+from .graphs import SamplerConfig, TextAttributedGraph, rwr_batch
 from .losses import alignment_uniformity, contrastive_loss_tensor
 from .textenc import attach_features
 
@@ -104,23 +103,30 @@ class AdamW:
         self.tensors = tensors
         self.config = config
         self.step_count = 0
-        self.m = {name: np.zeros_like(t.data) for name, t in tensors.items()}
-        self.v = {name: np.zeros_like(t.data) for name, t in tensors.items()}
+        # Moments of all arrays as one flat vector, names in sorted order.
+        self._names = sorted(tensors)
+        self._ends = np.cumsum([tensors[name].data.size for name in self._names]).tolist()
+        self.m = np.zeros(self._ends[-1])
+        self.v = np.zeros_like(self.m)
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
+        """One update of every array. It is computed once over the
+        concatenated vector; each element sees the same operations as in a
+        per-array update, so the result is bit-identical to one."""
         cfg = self.config
         beta1, beta2 = self.BETA1, self.BETA2
         self.step_count += 1
         t = self.step_count
-        for name in sorted(self.tensors):
-            g = grads[name]
-            self.m[name] = beta1 * self.m[name] + (1 - beta1) * g
-            self.v[name] = beta2 * self.v[name] + (1 - beta2) * (g * g)
-            m_hat = self.m[name] / (1 - beta1 ** t)
-            v_hat = self.v[name] / (1 - beta2 ** t)
-            data = self.tensors[name].data
-            data -= cfg.lr * (m_hat / (np.sqrt(v_hat) + self.EPS)
-                              + cfg.weight_decay * data)
+        g = np.concatenate([grads[name].ravel() for name in self._names])
+        data = np.concatenate([self.tensors[name].data.ravel() for name in self._names])
+        self.m = beta1 * self.m + (1 - beta1) * g
+        self.v = beta2 * self.v + (1 - beta2) * (g * g)
+        m_hat = self.m / (1 - beta1 ** t)
+        v_hat = self.v / (1 - beta2 ** t)
+        update = cfg.lr * (m_hat / (np.sqrt(v_hat) + self.EPS) + cfg.weight_decay * data)
+        for name, start, end in zip(self._names, [0] + self._ends, self._ends):
+            target = self.tensors[name].data
+            target -= update[start:end].reshape(target.shape)
 
 
 @dataclass
@@ -218,9 +224,9 @@ def materialize_subgraphs(
     config: GraphEncoderConfig,
 ) -> PaddedBatch:
     """Sample every pair's subgraph once, deterministically from its source
-    graph, into one padded batch in pair order. Pairs that share a graph and
-    a sampler seed are sampled by one ``sample_batch``."""
-    groups: dict[tuple[str, int], list[int]] = {}
+    graph and sampler seed, into one padded batch in pair order. The pairs
+    of one graph are walked by one ``rwr_batch``."""
+    groups: dict[str, list[int]] = {}
     for row, pair in enumerate(pairs):
         graph = graphs.get(pair.graph_id)
         if graph is None:
@@ -229,10 +235,12 @@ def materialize_subgraphs(
             raise ValidationError(
                 f"graph {pair.graph_id!r} has no features; attach an encoder first"
             )
-        groups.setdefault((pair.graph_id, pair.sampler_seed), []).append(row)
-    parts = [(rows, sample_batch(config, graphs[graph_id], [pairs[i].seed_id for i in rows],
-                                 dataclasses.replace(sampler_cfg, rng_seed=sampler_seed)))
-             for (graph_id, sampler_seed), rows in groups.items()]
+        groups.setdefault(pair.graph_id, []).append(row)
+    parts = []
+    for graph_id, rows in groups.items():
+        node_sets = rwr_batch(graphs[graph_id], [pairs[i].seed_id for i in rows],
+                              [pairs[i].sampler_seed for i in rows], sampler_cfg, None)
+        parts.append((rows, subgraph_batch(config, graphs[graph_id], node_sets, None)))
     n = max(part.features.shape[1] for _, part in parts)
     out = PaddedBatch(np.zeros((len(pairs), n, config.text_dim)),
                       np.zeros((len(pairs), n, config.positional_dim)),

@@ -7,6 +7,7 @@ graph text cannot corrupt rendering.
 
 from __future__ import annotations
 
+import functools
 import json
 from importlib import resources
 
@@ -21,6 +22,7 @@ _TEMPLATE_FILES = {
 }
 
 
+@functools.cache
 def _read_asset(name: str) -> str:
     return (resources.files("tagsum") / "assets" / name).read_text(encoding="utf-8")
 

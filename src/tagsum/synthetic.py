@@ -59,12 +59,19 @@ def make_synthetic_tag(
         w1, w2 = rng.choice(len(vocab), size=2, replace=False)
         texts.append(f"paper on {vocab[w1]} {vocab[w2]} {vocab[w1]} methods v{i}{suffix}")
 
+    # One draw per pair (u, v > u) in row-major order; a row's draws come in
+    # one call, which yields the same values as scalar draws. Rows reuse two
+    # buffers: fresh arrays of every row length would linger in numpy's
+    # small-buffer cache after the call.
+    prob = np.where(labels == np.arange(num_classes)[:, None], intra_edge_prob, inter_edge_prob)
+    draws = np.empty(num_nodes)
+    hits = np.empty(num_nodes, dtype=bool)
     edges = []
     for u in range(num_nodes):
-        for v in range(u + 1, num_nodes):
-            p = intra_edge_prob if labels[u] == labels[v] else inter_edge_prob
-            if rng.random() < p:
-                edges.append((u, v))
+        k = num_nodes - u - 1
+        rng.random(out=draws[:k])
+        np.less(draws[:k], prob[labels[u], u + 1:], out=hits[:k])
+        edges.extend((u, v) for v in (np.flatnonzero(hits[:k]) + u + 1).tolist())
 
     return TextAttributedGraph.from_edges(
         num_nodes, edges, texts,

@@ -3,8 +3,8 @@ import time
 import numpy as np
 import pytest
 
-from tagsum.encoder import GraphEncoderConfig
-from tagsum.graphs import SamplerConfig, TextAttributedGraph
+from tagsum.encoder import GraphEncoderConfig, subgraph_batch
+from tagsum.graphs import SamplerConfig, TextAttributedGraph, rwr_batch
 from tagsum.pretrain import OptimizerConfig, PerturbationState, pretrain
 from tagsum.synthetic import (
     CLASS_DESCRIPTIONS,
@@ -19,6 +19,14 @@ from tagsum.adapt import build_label_prompts
 TOY_ENCODER = GraphEncoderConfig(layers=2, hidden=32, heads=4,
                                  positional_dim=8, text_dim=24)
 TOY_SAMPLER = SamplerConfig(node_budget=8, max_steps=64)
+
+
+def sample_batch(config, graph, nodes, sampler_cfg, excluded=None):
+    """The nodes' subgraphs walked on ``sampler_cfg.rng_seed``, as one padded
+    batch: the walk-then-build step every caller of the walker takes."""
+    node_sets = rwr_batch(graph, nodes, [sampler_cfg.rng_seed] * len(nodes), sampler_cfg,
+                          excluded)
+    return subgraph_batch(config, graph, node_sets, excluded)
 
 
 @pytest.fixture(scope="session")

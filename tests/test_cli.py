@@ -286,7 +286,10 @@ class TestErrors:
         lambda spec: spec["classes"][0].update(name=7),
         lambda spec: spec["classes"][0].update(description=["first"]),
         lambda spec: spec.update(template=None),
-    ], ids=["no-classes", "number-name", "list-description", "null-template"])
+        lambda spec: spec["classes"][1].update(id=True),
+        lambda spec: spec["classes"][0].update(id=0.0),
+    ], ids=["no-classes", "number-name", "list-description", "null-template", "bool-id",
+            "float-id"])
     def test_malformed_label_asset_is_validation_error(self, workdir, checkpoint, tmp_path,
                                                        capsys, command, shots, edit):
         spec = json.loads((workdir / "labels.json").read_text())
@@ -338,8 +341,15 @@ class TestErrors:
         parsed = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert "UTF-8" in parsed["error"]
 
-    @pytest.mark.parametrize("tail", [b"5\n", b'{"summary": "caf\xe9"}\n'],
-                             ids=["number-line", "not-utf8"])
+    @pytest.mark.parametrize("tail", [
+        b"5\n", b'{"summary": "caf\xe9"}\n',
+        b'{"domain": "academic", "graph_id": "cligraph", "sampler_seed": 0, "seed_id": 30, '
+        b'"summary": "lone \\ud800 half", "token_count": 3}\n',
+        b'{"domain": "academic", "graph_id": "cligraph", "sampler_seed": 77, "seed_id": true, '
+        b'"summary": "a b", "token_count": 2}\n',
+        b'{"domain": "academic", "graph_id": "cligraph", "sampler_seed": 0, '
+        b'"seed_id": 1000000000000000000000, "summary": "a b", "token_count": 2}\n',
+    ], ids=["number-line", "not-utf8", "lone-surrogate", "bool-seed", "huge-seed"])
     def test_malformed_pairs_are_validation_errors(self, workdir, corpus, tmp_path,
                                                    capsys, tail):
         pairs = tmp_path / "pairs.jsonl"

@@ -223,6 +223,14 @@ class TestGeneratePairs:
                    manifest.read_text().strip().splitlines()]
         assert {e["seed_id"] for e in entries} == failed_seeds
 
+    def test_seed_outside_the_graph_is_a_failure(self, graph, tmp_path):
+        report = generate_pairs(graph, SAMPLER, ACADEMIC_SCHEMA, "academic",
+                                MockLlmClient(), tmp_path / "p.jsonl", seeds=[7, 0, -1],
+                                retries=0)
+        assert [p.seed_id for p in report.written] == [0]
+        assert [(f["seed_id"], f["error"]) for f in report.failures] == [
+            (7, "seed node 7 out of range"), (-1, "seed node -1 out of range")]
+
     def test_resume_skips_existing(self, graph, tmp_path):
         out = tmp_path / "pairs.jsonl"
         first = generate_pairs(graph, SAMPLER, ACADEMIC_SCHEMA, "academic",

@@ -23,7 +23,6 @@ from tagsum.encoder import (
     parameter_count,
     preset_config,
     preset_total_parameter_count,
-    sample_batch,
     save_checkpoint,
     sentence_encoder_parameter_count,
 )
@@ -38,7 +37,7 @@ from tagsum.graphs import (
 from tagsum.losses import contrastive_loss_tensor
 from tagsum.synthetic import make_synthetic_tag
 
-from conftest import TOY_ENCODER
+from conftest import TOY_ENCODER, sample_batch
 
 CFG = GraphEncoderConfig(layers=2, hidden=16, heads=4, positional_dim=4, text_dim=6)
 

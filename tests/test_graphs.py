@@ -1,5 +1,7 @@
 """tag-core: loading, sampling, positional encodings."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,18 +10,21 @@ from hypothesis import strategies as st
 from tagsum.errors import ParseError, TagsumError, ValidationError
 from tagsum.graphs import (
     EgoSubgraph,
-    _sampler_rng,
     SamplerConfig,
     TextAttributedGraph,
+    _pcg64_states,
+    _seed_pools,
     induced_edges,
     load_graph,
+    rwr_batch,
     rwr_nodes,
     rwr_sample,
-    rwr_walk,
     save_graph,
     with_positional_encodings,
 )
 from tagsum.synthetic import make_synthetic_tag
+
+from reference import loop_synthetic_edges, rwr_walk
 
 
 def write_graph_file(tmp_path, body):
@@ -159,6 +164,8 @@ class TestRwrSample:
     def test_invalid_seed(self, tiny_graph):
         with pytest.raises(ValidationError):
             rwr_sample(tiny_graph, 99, SamplerConfig())
+        with pytest.raises(ValidationError):
+            rwr_sample(tiny_graph, 2**70, SamplerConfig())
 
     def test_induced_closure(self, tiny_graph):
         # Every subgraph edge exists in the parent; every parent edge between
@@ -221,6 +228,11 @@ class TestExcludedEdge:
     def test_absent_edge_rejected(self, tiny_graph, edge):
         with pytest.raises(ValidationError):
             rwr_sample(tiny_graph, 0, SamplerConfig(), exclude=edge)
+
+    def test_absent_edge_rejected_on_an_edgeless_graph(self):
+        graph = TextAttributedGraph.from_edges(3, [], [""] * 3)
+        with pytest.raises(ValidationError, match="not present"):
+            rwr_sample(graph, 0, SamplerConfig(), exclude=(0, 1))
 
 
 def loop_rwr_sample(graph, seed_node, cfg, exclude=None):
@@ -324,6 +336,85 @@ class TestAgainstLoopSampler:
         assert assert_matches_loop(graph, 0, cfg).global_ids == (0, 1, 2)
 
 
+class TestStreamSeeding:
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**70 + 5]
+    NODES = [0, 1, 2**31]
+
+    def test_pools_and_states_equal_numpy(self):
+        rng_seeds = [s for s in self.SEEDS for _ in self.NODES]
+        nodes = self.NODES * len(self.SEEDS)
+        pools = _seed_pools(rng_seeds, nodes)
+        states = _pcg64_states(pools)
+        for i, (rng_seed, node) in enumerate(zip(rng_seeds, nodes)):
+            sequence = np.random.SeedSequence([rng_seed & ((1 << 64) - 1), node])
+            assert pools[i].tolist() == sequence.pool.tolist(), (rng_seed, node)
+            state = np.random.PCG64(sequence).state["state"]
+            high, low, inc_high, inc_low = states[i].tolist()
+            assert ((high << 64) | low, (inc_high << 64) | inc_low) == (
+                state["state"], state["inc"]), (rng_seed, node)
+
+
+@st.composite
+def walker_batches(draw):
+    """A small graph (isolated nodes and pendants arise often), a sampler
+    config, and a batch of walkers: seed node, stream seed, excluded edge."""
+    n = draw(st.integers(1, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = [pair for pair, keep in zip(pairs, draw(st.lists(
+        st.booleans(), min_size=len(pairs), max_size=len(pairs)))) if keep]
+    graph = TextAttributedGraph.from_edges(n, edges, [""] * n)
+    budget = draw(st.integers(1, n + 2))
+    # SamplerConfig requires max_steps >= node_budget (>= 1).
+    cfg = SamplerConfig(restart_prob=draw(st.floats(0.05, 0.95)), node_budget=budget,
+                        max_steps=draw(st.integers(budget, 300)))
+    rng_seed = st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1, 2**64,
+                                2**64 + 1]) | st.integers(0, 2**66)
+    walkers = []
+    for _ in range(draw(st.integers(1, 6))):
+        node = draw(st.integers(0, n - 1))
+        touching = [e for e in edges if node in e]
+        edge = draw(st.sampled_from([None] + edges)) if edges else None
+        if touching and draw(st.booleans()):
+            edge = draw(st.sampled_from(touching))
+        if edge is not None and draw(st.booleans()):
+            edge = edge[::-1]
+        walkers.append((node, draw(rng_seed), edge))
+    return graph, cfg, walkers
+
+
+class TestBatchedWalker:
+    @settings(max_examples=150, deadline=None)
+    @given(walker_batches())
+    def test_each_walker_equals_the_loop_sampler(self, case):
+        """Whatever else is in the batch, each walker's node set is the loop
+        sampler's on its own stream seed and excluded edge."""
+        graph, cfg, walkers = case
+        nodes, rng_seeds, excluded = zip(*walkers)
+        got = rwr_batch(graph, nodes, rng_seeds, cfg, excluded)
+        assert len(got) == len(walkers)
+        for (node, rng_seed, edge), ids in zip(walkers, got):
+            want = loop_rwr_sample(graph, node, dataclasses.replace(cfg, rng_seed=rng_seed),
+                                   edge)[0]
+            assert tuple(ids.tolist()) == want
+
+    def test_no_walkers(self):
+        cfg = SamplerConfig()
+        assert rwr_batch(TextAttributedGraph.from_edges(0, [], []), [], [], cfg, None) == []
+
+
+class TestSyntheticGraph:
+    @pytest.mark.parametrize("num_nodes, seed, intra, inter", [
+        (90, 0, 0.3, 0.005), (200, 4, 0.1, 0.02), (1, 2, 0.5, 0.5), (7, 3, 1.0, 0.0)])
+    def test_edges_equal_the_scalar_loop(self, num_nodes, seed, intra, inter):
+        graph = make_synthetic_tag(num_nodes, seed=seed, intra_edge_prob=intra,
+                                   inter_edge_prob=inter)
+        rng = np.random.default_rng(seed)
+        for _ in range(num_nodes):                  # the text draws come first
+            rng.choice(5, size=2, replace=False)
+        want = loop_synthetic_edges(num_nodes, graph.labels, rng, intra, inter)
+        assert graph.edges == tuple(want)
+
+
 class TestInducedEdges:
     def test_batch_equals_one_at_a_time(self):
         graph = make_synthetic_tag(80, seed=4, intra_edge_prob=0.15, inter_edge_prob=0.02)
@@ -363,7 +454,9 @@ class TestRwrDistribution:
 def walk_cut_at_budget(graph, node, cfg):
     """Visited set of ``rwr_walk`` on the sampler's per-node generator, cut
     when the node budget is reached."""
-    positions = rwr_walk(graph, node, cfg.restart_prob, cfg.max_steps, _sampler_rng(cfg, node))
+    entropy = np.random.SeedSequence([cfg.rng_seed & ((1 << 64) - 1), node])
+    rng = np.random.Generator(np.random.PCG64(entropy))
+    positions = rwr_walk(graph, node, cfg.restart_prob, cfg.max_steps, rng)
     visited = {node}
     for position in positions.tolist():
         if len(visited) >= cfg.node_budget:

@@ -37,6 +37,8 @@ from tagsum.pretrain import (
 from tagsum.synthetic import make_synthetic_pairs, make_synthetic_tag
 from tagsum.textenc import HashTextEncoder, attach_features
 
+from reference import loop_adamw_step
+
 CFG = GraphEncoderConfig(layers=1, hidden=8, heads=2, positional_dim=3, text_dim=6)
 SAMPLER = SamplerConfig(node_budget=5, max_steps=40)
 
@@ -219,6 +221,21 @@ class TestAdamW:
         for _ in range(50):
             optimizer.step({"w": np.zeros(1)})
         assert abs(float(tensor.data[0])) < 1.0
+
+    def test_flat_update_equals_the_per_array_loop(self):
+        rng = np.random.default_rng(0)
+        shapes = {"b": (3,), "a.weight": (4, 5), "c": (2, 3, 2), "d": ()}
+        tensors = {name: Tensor(rng.normal(size=shape), requires_grad=True)
+                   for name, shape in shapes.items()}
+        loop = {name: t.data.copy() for name, t in tensors.items()}
+        optimizer = AdamW(tensors, OptimizerConfig(lr=3e-2, weight_decay=1e-2))
+        state = {}
+        for t in range(1, 4):
+            grads = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+            optimizer.step(grads)
+            loop_adamw_step(state, loop, grads, 3e-2, 1e-2, t)
+            for name in shapes:
+                assert tensors[name].data.tobytes() == loop[name].tobytes(), (t, name)
 
     def test_metadata_defaults_match_published(self):
         cfg = OptimizerConfig()

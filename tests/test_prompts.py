@@ -2,6 +2,7 @@
 
 import pytest
 
+from tagsum import prompts
 from tagsum.errors import ValidationError
 from tagsum.prompts import (
     DOMAINS,
@@ -56,6 +57,18 @@ class TestSummaryPrompts:
         prompt = render_summary_prompt(doc, "academic", 4)
         # The document's own brace text must survive untouched.
         assert "{seed}</graphml>" in prompt
+
+
+    def test_each_asset_read_once(self, monkeypatch):
+        prompts._read_asset.cache_clear()
+        first = {domain: render_summary_prompt(DOC, domain, 5) for domain in DOMAINS}
+        files = []
+        monkeypatch.setattr(prompts.resources, "files", lambda *a: files.append(a))
+        for _ in range(3):
+            assert {domain: render_summary_prompt(DOC, domain, 5)
+                    for domain in DOMAINS} == first
+        assert not files
+        assert prompts._read_asset.cache_info().misses == len(DOMAINS)
 
 
 class TestLabelTemplates:

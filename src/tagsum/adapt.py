@@ -4,15 +4,24 @@ Zero-shot classification embeds each class as a rendered label sentence and
 picks the nearest one by cosine similarity (ties break to the lowest class
 id). Link prediction scores an edge as the cosine of its endpoints'
 subgraph embeddings; the sampler excludes the scored edge, so neither
-endpoint sees it and the graph is never copied. Evaluation walks every
-node in one ``graphs.rwr_batch`` call, then encodes the subgraphs in
-fixed-size chunks: each chunk's padded batch is built straight from the
-graph by ``encoder.subgraph_batch`` and encoded with no autodiff tape.
+endpoint sees it and the graph is never copied.
+
+An evaluation request is one pass over all of its runs: it draws every
+run's test set first, walks every node of every run in one
+``graphs.rwr_batch`` call (each walker on its run's stream), then encodes
+the subgraphs in fixed-size chunks, each chunk's padded batch built
+straight from the graph by ``encoder.subgraph_batch`` and encoded with no
+autodiff tape. All nodes are scored at once: node classification in one
+matmul against the label embeddings, link prediction as one row-wise
+product. The scores equal ``zero_shot_classify`` and ``link_score`` row
+by row, bit for bit; each run's figure is read from its slice.
+
 Prompt tuning learns a single shared feature offset added to every node
 feature, trained with a supervised contrastive loss against label
 sentences while both towers stay frozen: the tape sees the graph tower's
 weights as constants, so backward computes no tower gradient. The walks of
-all epochs run in one ``rwr_batch`` call up front.
+all epochs run in one ``rwr_batch`` call up front; the zero-shot and the
+tuned accuracy share one walk of the test nodes and its batches.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
+from .atomic import replacing
 from .autodiff import Tensor
 from .encoder import GraphEncoderConfig, ParamStore, embed_batch, encode_batch, subgraph_batch
 from .errors import ValidationError
@@ -35,8 +45,9 @@ from .prompts import render_label_sentence
 from .textenc import Embedding
 
 _MASK32 = (1 << 32) - 1
-# Subgraphs encoded per inference batch. Chunks are streamed so a run never
-# holds more than one padded batch.
+# Subgraphs encoded per inference batch. Evaluation streams the chunks, so a
+# request holds one padded batch at a time; prompt tuning keeps its test
+# batches for its two scoring passes.
 INFERENCE_CHUNK = 16
 
 
@@ -114,7 +125,9 @@ def save_label_prompt_asset(path, template: str, class_names, descriptions) -> N
             for i, (name, desc) in enumerate(zip(class_names, descriptions))
         ],
     }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    with replacing(path) as temp, open(temp, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2)
+        handle.write("\n")
 
 
 def prompt_index_map(graph: TextAttributedGraph, labels: LabelPromptSet) -> np.ndarray:
@@ -156,29 +169,58 @@ def _node_sampler_cfg(base: SamplerConfig, run_seed: int) -> SamplerConfig:
     return dataclasses.replace(base, rng_seed=(base.rng_seed * 0x9E3779B1 + run_seed) & _MASK32)
 
 
-def _embed_nodes(
-    store: ParamStore,
-    config: GraphEncoderConfig,
-    graph: TextAttributedGraph,
-    sampler_cfg: SamplerConfig,
-    nodes,
-    excluded=None,
-    feature_offset: np.ndarray | None = None,
-) -> np.ndarray:
-    """Embeddings (len(nodes), d) of each node's ego-subgraph with positional
-    encodings: all walks at once, then ``INFERENCE_CHUNK`` subgraphs per batch.
+def _run_walk_seeds(sampler_cfg: SamplerConfig, run_seeds, per_run: int) -> np.ndarray:
+    """The walk seed of every node of a request: ``per_run`` nodes per run,
+    each run on its own stream (``_node_sampler_cfg``)."""
+    return np.repeat([_node_sampler_cfg(sampler_cfg, seed).rng_seed for seed in run_seeds],
+                     per_run)
 
-    ``excluded[i]`` is an edge left out when sampling ``nodes[i]``, or None.
+
+def _inference_batches(config: GraphEncoderConfig, graph: TextAttributedGraph,
+                       sampler_cfg: SamplerConfig, nodes, walk_seeds, excluded=None):
+    """Padded batches of each node's ego-subgraph with positional encodings:
+    every walk in one ``rwr_batch`` call, then ``INFERENCE_CHUNK`` subgraphs
+    per batch, built as they are consumed.
+
+    ``walk_seeds[i]`` seeds the walk from ``nodes[i]``; ``excluded[i]`` is an
+    edge left out when sampling ``nodes[i]``, or None.
     """
-    node_sets = rwr_batch(graph, nodes, [sampler_cfg.rng_seed] * len(nodes), sampler_cfg,
-                          excluded)
-    out = np.empty((len(nodes), config.text_dim))
-    for start in range(0, len(nodes), INFERENCE_CHUNK):
-        stop = min(start + INFERENCE_CHUNK, len(nodes))
-        batch = subgraph_batch(config, graph, node_sets[start:stop],
-                               None if excluded is None else excluded[start:stop])
-        out[start:stop] = embed_batch(store, config, batch, feature_offset)
-    return out
+    node_sets = rwr_batch(graph, nodes, walk_seeds, sampler_cfg, excluded)
+    for start in range(0, len(node_sets), INFERENCE_CHUNK):
+        stop = start + INFERENCE_CHUNK
+        yield subgraph_batch(config, graph, node_sets[start:stop],
+                             None if excluded is None else excluded[start:stop])
+
+
+def _embed(store: ParamStore, config: GraphEncoderConfig, batches,
+           feature_offset: np.ndarray | None = None) -> np.ndarray:
+    """Embeddings (nodes, d) of every subgraph in ``batches``, with no tape."""
+    return np.concatenate([embed_batch(store, config, batch, feature_offset)
+                           for batch in batches])
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[i] @ b[i] for every row, as one stacked matmul: each row is the
+    same BLAS dot as the 1-D ``a[i] @ b[i]``, so it matches bit for bit."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _label_scores(embeddings: np.ndarray, labels: LabelPromptSet) -> np.ndarray:
+    """``zero_shot_classify``'s scores (nodes, C) of every row in one matmul,
+    bit for bit, so their argmax still breaks ties to the lowest class id."""
+    norms = np.sqrt(_row_dots(embeddings, embeddings))[:, None]
+    unit = np.divide(embeddings, norms, out=np.zeros_like(embeddings), where=norms != 0.0)
+    return (unit[:, None, :] @ labels.embeddings.T)[:, 0, :]
+
+
+def _cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``link_score`` of every row pair: a zero norm scores 0, and scores are
+    clipped to [-1, 1]."""
+    norm_a, norm_b = np.sqrt(_row_dots(a, a)), np.sqrt(_row_dots(b, b))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores = np.clip(_row_dots(a, b) / (norm_a * norm_b), -1.0, 1.0)
+    scores[(norm_a == 0.0) | (norm_b == 0.0)] = 0.0
+    return scores
 
 
 def _check_runs(test_fraction: float, num_runs: int) -> None:
@@ -231,28 +273,26 @@ def evaluate_node_classification(
     if labeled.size == 0:
         raise ValidationError("graph has no labeled nodes")
 
-    result = EvalResult(metric="accuracy")
-    for run in range(num_runs):
-        seed = base_seed + run
-        rng = np.random.default_rng(seed)
-        num_test = max(1, int(round(test_fraction * labeled.size)))
-        test_nodes = rng.choice(labeled, size=num_test, replace=False)
-        result.runs.append(EvalRun(seed=seed, value=_accuracy(
-            store, config, graph, labels, sampler_cfg, test_nodes, seed)))
-    return result
+    num_test = max(1, int(round(test_fraction * labeled.size)))
+    run_seeds = [base_seed + run for run in range(num_runs)]
+    test_nodes = np.concatenate([np.random.default_rng(seed).choice(labeled, size=num_test,
+                                                                    replace=False)
+                                 for seed in run_seeds])
+    correct = _correct(store, config, graph, labels, _inference_batches(
+        config, graph, sampler_cfg, test_nodes,
+        _run_walk_seeds(sampler_cfg, run_seeds, num_test)), test_nodes)
+    return EvalResult(metric="accuracy", runs=[
+        EvalRun(seed=seed, value=float(run.mean()))
+        for seed, run in zip(run_seeds, correct.reshape(num_runs, num_test))])
 
 
-def _accuracy(store, config, graph, labels, sampler_cfg, node_ids, run_seed,
-              feature_offset=None) -> float:
-    """Share of ``node_ids`` whose zero-shot prediction matches their label."""
-    mapping = prompt_index_map(graph, labels)
-    embeddings = _embed_nodes(store, config, graph, _node_sampler_cfg(sampler_cfg, run_seed),
-                              node_ids, feature_offset=feature_offset)
-    correct = 0
-    for node, emb in zip(node_ids, embeddings):
-        predicted, _ = zero_shot_classify(emb, labels)
-        correct += int(predicted == int(mapping[graph.labels[node]]))
-    return correct / len(node_ids)
+def _correct(store, config, graph, labels, batches, node_ids,
+             feature_offset=None) -> np.ndarray:
+    """Whether each node's zero-shot prediction matches its label, for the
+    subgraphs of ``node_ids`` in ``batches``."""
+    truth = prompt_index_map(graph, labels)[graph.labels[np.asarray(node_ids)]]
+    scores = _label_scores(_embed(store, config, batches, feature_offset), labels)
+    return scores.argmax(axis=1) == truth
 
 
 def link_score(h_i, h_j) -> float:
@@ -276,15 +316,13 @@ def auc(scores, truth) -> float:
     if num_pos == 0 or num_neg == 0:
         raise ValidationError("need at least one positive and one negative")
     order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(scores.size, dtype=np.float64)
     sorted_scores = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0  # average 1-based rank
-        i = j + 1
+    # Runs of equal sorted scores, first index i and last j; != rather than a
+    # difference keeps equal infinities tied and every NaN on its own.
+    first = np.r_[0, np.flatnonzero(sorted_scores[1:] != sorted_scores[:-1]) + 1]
+    last = np.r_[first[1:], scores.size] - 1
+    ranks = np.empty(scores.size, dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (first + last) + 1.0, last - first + 1)  # average 1-based rank
     pos_rank_sum = ranks[truth].sum()
     return float((pos_rank_sum - num_pos * (num_pos + 1) / 2.0) / (num_pos * num_neg))
 
@@ -316,9 +354,9 @@ def evaluate_link_prediction(
         raise ValidationError(f"link prediction needs {num_test} non-edges as negatives; "
                               f"the graph has {non_edges}")
     edge_set = set(graph.edges)
-    result = EvalResult(metric="auc")
-    for run in range(num_runs):
-        seed = base_seed + run
+    run_seeds = [base_seed + run for run in range(num_runs)]
+    pairs, excluded = [], []
+    for seed in run_seeds:
         rng = np.random.default_rng(seed)
         chosen = rng.choice(len(graph.edges), size=num_test, replace=False)
         positives = [graph.edges[int(i)] for i in chosen]
@@ -332,15 +370,15 @@ def evaluate_link_prediction(
             if key in edge_set:
                 continue
             negatives.append(key)
-        pairs = positives + negatives
-        embeddings = _embed_nodes(
-            store, config, graph, _node_sampler_cfg(sampler_cfg, seed),
-            [node for pair in pairs for node in pair],
-            excluded=[pair for pair in positives for _ in pair] + [None] * (2 * num_test))
-        scores = [link_score(h_u, h_v) for h_u, h_v in zip(embeddings[::2], embeddings[1::2])]
-        truth = [True] * num_test + [False] * num_test
-        result.runs.append(EvalRun(seed=seed, value=auc(scores, truth)))
-    return result
+        pairs += positives + negatives
+        excluded += [pair for pair in positives for _ in pair] + [None] * (2 * num_test)
+    embeddings = _embed(store, config, _inference_batches(
+        config, graph, sampler_cfg, [node for pair in pairs for node in pair],
+        _run_walk_seeds(sampler_cfg, run_seeds, 4 * num_test), excluded))
+    scores = _cosines(embeddings[::2], embeddings[1::2]).reshape(num_runs, 2 * num_test)
+    truth = [True] * num_test + [False] * num_test
+    return EvalResult(metric="auc", runs=[EvalRun(seed=seed, value=auc(run, truth))
+                                          for seed, run in zip(run_seeds, scores)])
 
 
 @dataclass(frozen=True)
@@ -356,8 +394,9 @@ class PromptVector:
         object.__setattr__(self, "values", vec)
 
     def save(self, path) -> None:
-        Path(path).write_text(
-            json.dumps({"values": self.values.tolist()}) + "\n", encoding="utf-8")
+        with replacing(path) as temp, open(temp, "w", encoding="utf-8") as handle:
+            json.dump({"values": self.values.tolist()}, handle)
+            handle.write("\n")
 
 
 @dataclass(frozen=True)
@@ -469,10 +508,14 @@ def prompt_tune(
         optimizer.step({"sigma": sigma.grad})
         losses.append(loss.item())
 
-    zero_acc = _accuracy(store, config, graph, labels, sampler_cfg,
-                         split.test_ids, split.seed)
-    tuned_acc = _accuracy(store, config, graph, labels, sampler_cfg,
-                          split.test_ids, split.seed, feature_offset=sigma.data)
+    # Both accuracies score the same subgraphs: walked and built once.
+    test_batches = list(_inference_batches(
+        config, graph, sampler_cfg, split.test_ids,
+        _run_walk_seeds(sampler_cfg, [split.seed], len(split.test_ids))))
+    zero_acc = float(_correct(store, config, graph, labels, test_batches,
+                              split.test_ids).mean())
+    tuned_acc = float(_correct(store, config, graph, labels, test_batches,
+                               split.test_ids, sigma.data).mean())
 
     checksum_after = store.checksum()
     if text_encoder is not None:

@@ -13,11 +13,15 @@ fused op records one tape node and returns, through ``gradients``, a
 gradient only for the parents that need one (``needs_grad``), so a frozen
 weight costs no matmul in backward. The kernels' backward formulas:
 
-- softmax over the last axis, P = softmax(S):
-  dS = P * (dP - rowsum(dP * P)) (Dao et al. 2022, FlashAttention, Alg. 2);
+- softmax along one axis, P = softmax(S):
+  dS = P * (dP - sum(dP * P)) with the sum along that axis (Dao et al.
+  2022, FlashAttention, Alg. 2). Over the last axis the sum is a row sum;
+  the encoder's attention keeps P key-major, (keys, queries), so there it
+  is dS = P * (dP - colsum(dP * P)) over axis -2;
 - layer norm, y = g * xhat + b with xhat = (x - mean) / std:
   dx = (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) / std,
-  where dxhat = g * dy;
+  where dxhat = g * dy; every row mean is one matmul against a 1/width
+  column;
 - tanh-form GELU, x * (1 + t) / 2 with t = tanh(c (x + 0.044715 x^3)):
   d/dx = (1 + t) / 2 + x (1 - t^2) c (1 + 3 * 0.044715 x^2) / 2.
 
@@ -354,16 +358,22 @@ def gelu(a) -> Tensor:
     return Tensor(out_data, _parents=(a,), _backward=backward)
 
 
-def softmax_forward(x: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis, stabilized by a max shift; -inf entries
-    get probability 0."""
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+def softmax_forward(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax over ``axis``, stabilized by a max shift; -inf entries get
+    probability 0. The shift, exp and normalization run in place on ``out``
+    (a new array by default; ``out=x`` overwrites the scores)."""
+    e = np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
-def softmax_backward(probs: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Gradient w.r.t. the softmax input: P * (dP - rowsum(dP * P))."""
-    return probs * (grad - (grad * probs).sum(axis=-1, keepdims=True))
+def softmax_backward(probs: np.ndarray, grad: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Gradient w.r.t. the softmax input, P * (dP - sum(dP * P)) with the sum
+    over ``axis``, the axis the forward normalized."""
+    out = grad - (grad * probs).sum(axis=axis, keepdims=True)
+    out *= probs
+    return out
 
 
 def softmax(a) -> Tensor:
@@ -389,12 +399,19 @@ def logsumexp(a, axis=-1, keepdims=False) -> Tensor:
     return out
 
 
+def _row_mean(x: np.ndarray) -> np.ndarray:
+    """Mean over the last axis, kept as a size-1 axis: one matmul of all rows
+    against a 1/width column."""
+    width = x.shape[-1]
+    column = np.full((width, 1), 1.0 / width)
+    return (x.reshape(-1, width) @ column).reshape(x.shape[:-1] + (1,))
+
+
 def layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
                        eps: float = 1e-5) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Layer norm over the last axis: (output, xhat, std)."""
-    inv_width = 1.0 / x.shape[-1]
-    centered = x - x.sum(axis=-1, keepdims=True) * inv_width
-    std = np.sqrt((centered * centered).sum(axis=-1, keepdims=True) * inv_width + eps)
+    centered = x - _row_mean(x)
+    std = np.sqrt(_row_mean(centered * centered) + eps)
     normed = centered / std
     return normed * gain + bias, normed, std
 
@@ -402,10 +419,8 @@ def layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
 def layer_norm_backward(grad: np.ndarray, normed: np.ndarray, std: np.ndarray,
                         gain: np.ndarray) -> np.ndarray:
     """Gradient w.r.t. the layer-norm input, from the forward's xhat and std."""
-    inv_width = 1.0 / grad.shape[-1]
     dnormed = grad * gain
-    return (dnormed - dnormed.sum(axis=-1, keepdims=True) * inv_width
-            - normed * ((dnormed * normed).sum(axis=-1, keepdims=True) * inv_width)) / std
+    return (dnormed - _row_mean(dnormed) - normed * _row_mean(dnormed * normed)) / std
 
 
 def layer_norm(x, gain, bias, eps=1e-5) -> Tensor:

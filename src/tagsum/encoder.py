@@ -18,10 +18,13 @@ forward and hand-written backward run in numpy (rows(a) flattens the batch
 axes, so every weight gradient is one matmul, rows(input)^T rows(dY)):
 
 - ``input_projection``: concat(x, pos) W + b; dx = dY W[:d]^T.
-- ``mixing_sublayer``: LN1(h + local(h) + attn(h)). Backward runs the
-  layer-norm kernel of ``autodiff``, then the output projection, then the
-  softmax identity dS = P * (dP - rowsum(dP * P)) with dP = dO V^T, and
-  dQ = dS K / sqrt(hd), dK = dS^T Q / sqrt(hd), dV = P^T dO. Q/K/V come
+- ``mixing_sublayer``: LN1(h + local(h) + attn(h)). The attention
+  probabilities are kept key-major, P = softmax over keys of K Q^T / sqrt(hd),
+  shape (B, heads, keys, queries), so every softmax reduction runs over
+  axis -2. Backward runs the layer-norm kernel of ``autodiff``, then the
+  output projection, then the softmax identity in the same layout,
+  dS = P * (dP - colsum(dP * P)) with dP = V dO^T and the sum over keys,
+  and dQ = dS^T K / sqrt(hd), dK = dS Q / sqrt(hd), dV = P dO. Q/K/V come
   from one matmul over the concatenated weights, and so does their weight
   gradient, split back into the ``attn_q/k/v`` slots.
 - ``ffn_sublayer``: LN2(h + W2 gelu(W1 h + b1) + b2).
@@ -331,16 +334,17 @@ def mixing_sublayer(h: Tensor, batch: PaddedBatch, store: ParamStore, prefix: st
 
     local(h) = h Ws + bs + (A h) Wn + bn over the degree-normalized adjacency
     A. Attention takes Q/K/V from one matmul over the concatenated weights,
-    adds the -inf key mask of padded slots before the max-shifted softmax,
-    and ends in the output projection. The Q/K/V weight gradient is one
-    matmul, split back into the ``attn_q/k/v`` slots.
+    adds the -inf key mask of padded slots before the max-shifted softmax
+    over keys (key-major scores K Q^T), and ends in the output projection.
+    The Q/K/V weight gradient is one matmul, split back into the
+    ``attn_q/k/v`` slots.
     """
     p = {name: store[prefix + name] for name in MIXING_PARAMS}
     x, adjacency = h.data, batch.neighbor_mean
     b, n, hidden = x.shape
     head_dim = hidden // heads
     scale = 1.0 / np.sqrt(head_dim)
-    key_mask = np.where(_real_slots(batch), 0.0, -np.inf)[:, None, None, :]
+    key_mask = np.where(_real_slots(batch), 0.0, -np.inf)[:, None, :, None]
 
     neighbors = adjacency @ x
     local = (x @ p["local_self.weight"].data + p["local_self.bias"].data
@@ -349,8 +353,13 @@ def mixing_sublayer(h: Tensor, batch: PaddedBatch, store: ParamStore, prefix: st
     qkv_bias = np.concatenate([p[f"attn_{c}.bias"].data for c in "qkv"])
     q, k, v = ((x @ qkv_weight + qkv_bias).reshape(b, n, 3, heads, head_dim)
                .transpose(2, 0, 3, 1, 4))                     # each (B, heads, n, hd)
-    probs = ad.softmax_forward(q @ k.swapaxes(-1, -2) * scale + key_mask)
-    context = (probs @ v).transpose(0, 2, 1, 3).reshape(b, n, hidden)
+    # Key-major probabilities (B, heads, keys, queries): each query's softmax
+    # reduces over axis -2, in place.
+    probs = k @ q.swapaxes(-1, -2)
+    probs *= scale
+    probs += key_mask
+    ad.softmax_forward(probs, axis=-2, out=probs)
+    context = (probs.swapaxes(-1, -2) @ v).transpose(0, 2, 1, 3).reshape(b, n, hidden)
     attn = context @ p["attn_out.weight"].data + p["attn_out.bias"].data
     out, normed, std = ad.layer_norm_forward(x + local + attn, p["norm1.gain"].data,
                                              p["norm1.bias"].data)
@@ -360,9 +369,9 @@ def mixing_sublayer(h: Tensor, batch: PaddedBatch, store: ParamStore, prefix: st
         dz_rows = _rows(dz)
         dcontext = (dz @ p["attn_out.weight"].data.T).reshape(b, n, heads, head_dim)
         dcontext = dcontext.transpose(0, 2, 1, 3)
-        dscores = ad.softmax_backward(probs, dcontext @ v.swapaxes(-1, -2)) * scale
-        dqkv = np.stack([dscores @ k, dscores.swapaxes(-1, -2) @ q,
-                         probs.swapaxes(-1, -2) @ dcontext])
+        dscores = ad.softmax_backward(probs, v @ dcontext.swapaxes(-1, -2), axis=-2)
+        dscores *= scale                                      # key-major, as probs
+        dqkv = np.stack([dscores.swapaxes(-1, -2) @ k, dscores @ q, probs @ dcontext])
         dqkv = _rows(dqkv.transpose(1, 3, 0, 2, 4).reshape(b, n, 3 * hidden))
 
         @functools.cache

@@ -5,12 +5,14 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from tagsum.adapt import (
     FewShotSplit,
-    _accuracy,
+    LabelPromptSet,
+    _cosines,
+    _label_scores,
     _node_sampler_cfg,
     build_label_prompts,
     auc,
@@ -24,9 +26,10 @@ from tagsum.adapt import (
     save_label_prompt_asset,
     zero_shot_classify,
 )
+import tagsum.adapt
 import tagsum.autodiff as ad
 from tagsum.autodiff import Tensor
-from tagsum.encoder import ParamStore, encode_batch, encode_graph_tensor
+from tagsum.encoder import ParamStore, embed_batch, encode_batch, encode_graph_tensor
 from tagsum.errors import TagsumError, ValidationError
 from tagsum.graphs import TextAttributedGraph, rwr_sample, with_positional_encodings
 from tagsum.losses import supervised_contrastive_loss_tensor
@@ -35,6 +38,7 @@ from tagsum.textenc import attach_features
 from tagsum.synthetic import CLASS_KEYWORDS
 
 from conftest import TOY_ENCODER, TOY_SAMPLER, sample_batch
+from reference import loop_auc
 
 
 class TestZeroShotClassify:
@@ -207,6 +211,119 @@ class TestAuc:
                 continue
             assert auc(scores, truth) == pytest.approx(
                 brute_force_auc(scores, truth), abs=1e-12)
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 0.25, 1.0,
+                                               np.inf, np.nan]), st.booleans()),
+                    min_size=2, max_size=60))
+    def test_matches_the_frozen_loop_with_many_ties(self, items):
+        # Scores from a few values, infinities and NaN among them: nearly
+        # every score is tied, and the ranks must be the loop's bit for bit.
+        scores, truth = zip(*items)
+        assume(any(truth) and not all(truth))
+        assert auc(scores, truth) == loop_auc(scores, truth)
+
+
+class TestBatchedScores:
+    """Node classification and link prediction score all nodes at once; each
+    row equals ``zero_shot_classify`` and ``link_score`` bit for bit."""
+
+    @staticmethod
+    def rows(rng, num_rows, dim, axes):
+        # Small integers give exact ties between classes on unit axes.
+        if axes:
+            return rng.integers(-1, 2, size=(num_rows, dim)).astype(np.float64)
+        return rng.normal(size=(num_rows, dim)) * rng.choice([1e-3, 1.0, 1e3],
+                                                             size=(num_rows, 1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), num_classes=st.integers(1, 5),
+           dim=st.integers(1, 6), num_rows=st.integers(1, 12), axes=st.booleans())
+    def test_label_scores_match_zero_shot_classify(self, seed, num_classes, dim, num_rows,
+                                                   axes):
+        rng = np.random.default_rng(seed)
+        if axes:
+            classes = np.eye(dim)[rng.integers(dim, size=num_classes)]
+            classes *= rng.choice([-1.0, 1.0], size=(num_classes, 1))
+        else:
+            classes = rng.normal(size=(num_classes, dim))
+            classes /= np.linalg.norm(classes, axis=1, keepdims=True)
+        classes[-1] = classes[0]                 # a duplicated class ties on every row
+        names = tuple(f"class{i}" for i in range(num_classes))
+        labels = LabelPromptSet(names, names, classes)
+        embeddings = self.rows(rng, num_rows, dim, axes)
+        embeddings[0] = 0.0
+        scores = _label_scores(embeddings, labels)
+        for row, got in zip(embeddings, scores):
+            predicted, want = zero_shot_classify(row, labels)
+            np.testing.assert_array_equal(got, want)
+            assert int(np.argmax(got)) == predicted
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 6),
+           num_rows=st.integers(4, 12), axes=st.booleans())
+    def test_cosines_match_link_score(self, seed, dim, num_rows, axes):
+        rng = np.random.default_rng(seed)
+        a, b = self.rows(rng, num_rows, dim, axes), self.rows(rng, num_rows, dim, axes)
+        a[0] = 0.0
+        b[1] = 0.0
+        b[2] = a[2]                              # cosine 1 up to rounding: clipped
+        b[3] = -3.0 * a[3]
+        assert _cosines(a, b).tolist() == [link_score(u, v) for u, v in zip(a, b)]
+
+
+class TestOnePassPerRequest:
+    """A request walks once, whatever its number of runs; its runs are those
+    of single-run requests at the same seeds."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        calls = []
+        original = tagsum.adapt.rwr_batch
+
+        def counting(graph, nodes, seeds, cfg, excluded):
+            calls.append(len(nodes))
+            return original(graph, nodes, seeds, cfg, excluded)
+        monkeypatch.setattr(tagsum.adapt, "rwr_batch", counting)
+        return calls
+
+    @pytest.mark.parametrize("num_runs", [1, 4])
+    def test_one_walk_per_request(self, walks, trained_model, target_graph, label_prompts,
+                                  num_runs):
+        evaluate_node_classification(trained_model.store, TOY_ENCODER, target_graph,
+                                     label_prompts, TOY_SAMPLER, test_fraction=0.25,
+                                     num_runs=num_runs)
+        labeled = int(np.sum(target_graph.labels >= 0))
+        assert walks == [num_runs * round(0.25 * labeled)]
+        walks.clear()
+        evaluate_link_prediction(trained_model.store, TOY_ENCODER, target_graph, TOY_SAMPLER,
+                                 test_fraction=0.1, num_runs=num_runs)
+        assert walks == [num_runs * 4 * round(0.1 * len(target_graph.edges))]
+
+    def test_prompt_tune_walks_twice(self, walks, trained_model, target_graph,
+                                     label_prompts):
+        split = make_few_shot_split(target_graph, shots=2, seed=3)
+        prompt_tune(trained_model.store, TOY_ENCODER, target_graph, split, label_prompts,
+                    epochs=3, sampler_cfg=TOY_SAMPLER)
+        assert walks == [3 * len(split.train_ids), len(split.test_ids)]
+
+    def test_runs_equal_single_run_requests(self, target_graph, label_prompts):
+        store = ParamStore.initialize(TOY_ENCODER, seed=8)
+        nc = evaluate_node_classification(store, TOY_ENCODER, target_graph, label_prompts,
+                                          TOY_SAMPLER, test_fraction=0.3, num_runs=3,
+                                          base_seed=11)
+        assert nc.runs == [
+            evaluate_node_classification(store, TOY_ENCODER, target_graph, label_prompts,
+                                         TOY_SAMPLER, test_fraction=0.3, num_runs=1,
+                                         base_seed=seed).runs[0]
+            for seed in (11, 12, 13)]
+        lp = evaluate_link_prediction(store, TOY_ENCODER, target_graph, TOY_SAMPLER,
+                                      test_fraction=0.2, num_runs=3, base_seed=11)
+        assert lp.runs == [
+            evaluate_link_prediction(store, TOY_ENCODER, target_graph, TOY_SAMPLER,
+                                     test_fraction=0.2, num_runs=1, base_seed=seed).runs[0]
+            for seed in (11, 12, 13)]
 
 
 class TestLinkScore:
@@ -508,9 +625,12 @@ class TestPromptTune:
             losses.append(loss.item())
         assert result.losses == losses
         assert result.prompt.values.tobytes() == sigma.data.tobytes()
-        assert result.tuned_accuracy == _accuracy(
-            store, TOY_ENCODER, target_graph, label_prompts, TOY_SAMPLER,
-            split.test_ids, split.seed, feature_offset=sigma.data)
+        batch = sample_batch(TOY_ENCODER, target_graph, split.test_ids,
+                             _node_sampler_cfg(TOY_SAMPLER, split.seed))
+        predicted = [zero_shot_classify(row, label_prompts)[0]
+                     for row in embed_batch(store, TOY_ENCODER, batch, sigma.data)]
+        truth = [mapping[target_graph.labels[n]] for n in split.test_ids]
+        assert result.tuned_accuracy == np.mean(np.equal(predicted, truth))
         assert any(np.any(t.grad != 7.0) for t in store.tensors.values())
 
     def test_rejects_featureless_graph(self, trained_model, label_prompts):

@@ -1,9 +1,15 @@
 """Artifacts are replaced atomically: a write that fails midway leaves the
 previous file as it was and no temp file behind."""
 
+import contextlib
+import json
+import resource
+import signal
+
 import numpy as np
 import pytest
 
+from tagsum.adapt import PromptVector, save_label_prompt_asset
 from tagsum.atomic import replacing
 from tagsum.encoder import GraphEncoderConfig, ParamStore, save_checkpoint
 from tagsum.pretrain import write_metrics_csv
@@ -14,6 +20,20 @@ CFG = GraphEncoderConfig(layers=1, hidden=8, heads=2, positional_dim=3, text_dim
 def assert_untouched(path, before):
     assert path.read_bytes() == before
     assert [p.name for p in path.parent.iterdir()] == [path.name]
+
+
+@contextlib.contextmanager
+def file_size_limit(limit):
+    """This process's writes past ``limit`` bytes of a file fail with EFBIG,
+    as on a full disk."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+    previous = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (limit, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+        signal.signal(signal.SIGXFSZ, previous)
 
 
 class TestReplacing:
@@ -65,4 +85,23 @@ class TestArtifactWriters:
         before = path.read_bytes()
         with pytest.raises(KeyError):
             write_metrics_csv(path, [row, {"step": 1}])
+        assert_untouched(path, before)
+
+    def test_prompt_vector_failing_midway_keeps_the_previous_one(self, tmp_path):
+        path = tmp_path / "prompt_seed0.json"
+        PromptVector(np.array([0.5, -1.0])).save(path)
+        before = path.read_bytes()
+        assert before == (json.dumps({"values": [0.5, -1.0]}) + "\n").encode()
+        longer = PromptVector(np.linspace(-1.0, 1.0, 24))
+        with pytest.raises(OSError), file_size_limit(64):
+            longer.save(path)
+        assert_untouched(path, before)
+
+    def test_label_asset_failing_midway_keeps_the_previous_one(self, tmp_path):
+        path = tmp_path / "labels.json"
+        save_label_prompt_asset(path, "{name}", ["a", "b"], ["first", "second"])
+        before = path.read_bytes()
+        with pytest.raises(OSError), file_size_limit(64):
+            save_label_prompt_asset(path, "{name}: {description}", ["a", "b", "c"],
+                                    ["first class", "second class", "third class"])
         assert_untouched(path, before)

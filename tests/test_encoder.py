@@ -12,6 +12,7 @@ import tagsum.autodiff as ad
 from tagsum.autodiff import Tensor
 from tagsum.encoder import (
     CHECKPOINT_MAGIC,
+    MIXING_PARAMS,
     GraphEncoderConfig,
     ParamStore,
     embed_batch,
@@ -19,6 +20,7 @@ from tagsum.encoder import (
     encode_graph,
     encode_graph_tensor,
     load_checkpoint,
+    mixing_sublayer,
     pad_batch,
     parameter_count,
     preset_config,
@@ -38,6 +40,7 @@ from tagsum.losses import contrastive_loss_tensor
 from tagsum.synthetic import make_synthetic_tag
 
 from conftest import TOY_ENCODER, sample_batch
+from reference import query_major_mixing
 
 CFG = GraphEncoderConfig(layers=2, hidden=16, heads=4, positional_dim=4, text_dim=6)
 
@@ -135,6 +138,35 @@ class TestPaddedBatch:
         for i, sub in enumerate(subs):
             assert np.all(x.grad[i, sub.num_nodes:] == 0.0)
         assert x.grad.shape == (len(subs), 8, CFG.text_dim)
+
+
+class TestKeyMajorAttention:
+    """The mixing sublayer keeps attention probabilities key-major; its
+    output and gradients agree with the query-major form it replaced."""
+
+    def test_matches_query_major_reference(self):
+        cfg = TOY_ENCODER
+        rng = np.random.default_rng(11)
+        subs = [random_subgraph(n, cfg, seed=20 + n) for n in (1, 3, 16)]
+        batch = pad_batch(cfg, subs)
+        # Random values in every slot, biases and norm affine included.
+        store = ParamStore({name: Tensor(rng.normal(scale=0.5, size=t.data.shape),
+                                         requires_grad=True)
+                            for name, t in ParamStore.initialize(cfg, seed=5).tensors.items()})
+        h = Tensor(rng.normal(size=(len(subs), 16, cfg.hidden)), requires_grad=True)
+        grad = rng.normal(size=h.data.shape)
+
+        out = mixing_sublayer(h, batch, store, "layer0.", cfg.heads)
+        out.backward(grad)
+        want, dx, dparams = query_major_mixing(
+            h.data, batch.neighbor_mean, batch.sizes,
+            {name: store["layer0." + name].data for name in MIXING_PARAMS}, cfg.heads, grad)
+
+        np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(h.grad, dx, rtol=0, atol=1e-12)
+        for name in MIXING_PARAMS:
+            np.testing.assert_allclose(store["layer0." + name].grad, dparams[name],
+                                       rtol=0, atol=1e-12, err_msg=name)
 
 
 class TestTape:

@@ -34,8 +34,8 @@ from .encoder import (
 )
 from .errors import NonFiniteLossError, TagsumError, ValidationError
 from .gradcheck import run_grad_check
-from .graphml import DOMAIN_SCHEMAS, GraphMLSchema, emit_graphml
-from .graphs import SamplerConfig, induced_subgraph, load_graph, rwr_batch
+from .graphml import DOMAIN_SCHEMAS, GraphMLSchema
+from .graphs import SamplerConfig, load_graph, rwr_batch
 from .pretrain import OptimizerConfig, PerturbationState, pretrain
 from .textenc import HashTextEncoder, TableTextEncoder, attach_features
 from .theory import verify_proposition, verify_theorem_bound
@@ -276,23 +276,30 @@ def _require_path(cfg: dict, key: str) -> str:
     return value
 
 
+def _num_seeds(cfg: dict, graph) -> int:
+    """How many seeds, from node 0 on, a corpus command asks for: every node
+    when ``corpus.num_seeds`` is unset."""
+    count = cfg["corpus"]["num_seeds"]
+    if count is None:
+        return graph.num_nodes
+    if count < 1:
+        raise ValidationError(f"corpus.num_seeds must be >= 1, got {count}")
+    return count
+
+
 def cmd_sample(cfg: dict, run: RunDir) -> int:
     graph = load_graph(run.record_input(_require_path(cfg, "graph")))
     sampler = _sampler_config(cfg)
-    domain = cfg["corpus"]["domain"]
-    schema: GraphMLSchema = DOMAIN_SCHEMAS[domain]
-    count = cfg["corpus"]["num_seeds"] or graph.num_nodes
+    schema: GraphMLSchema = DOMAIN_SCHEMAS[cfg["corpus"]["domain"]]
+    seeds = range(min(_num_seeds(cfg, graph), graph.num_nodes))
     out = run.path / "subgraphs"
     out.mkdir(exist_ok=True)
-    seeds = range(min(count, graph.num_nodes))
     walks = rwr_batch(graph, seeds, [sampler.rng_seed] * len(seeds), sampler, None)
-    for seed, node_ids in zip(seeds, walks):
-        sub = induced_subgraph(graph, seed, node_ids, None)
-        texts = corpus_mod.subgraph_node_texts(graph, sub, schema,
-                                               cfg["corpus"]["truncate_chars"])
-        (out / f"seed{seed}.graphml").write_text(
-            emit_graphml(sub, schema, texts), encoding="utf-8")
-    print(f"wrote {min(count, graph.num_nodes)} subgraph documents to {out}")
+    documents = corpus_mod.subgraph_documents(graph, schema, seeds, walks,
+                                              cfg["corpus"]["truncate_chars"])
+    for seed, (_, doc) in zip(seeds, documents):
+        (out / f"seed{seed}.graphml").write_text(doc, encoding="utf-8")
+    print(f"wrote {len(seeds)} subgraph documents to {out}")
     return EXIT_OK
 
 
@@ -300,6 +307,7 @@ def cmd_gen_corpus(cfg: dict, run: RunDir) -> int:
     graph = load_graph(run.record_input(_require_path(cfg, "graph")))
     c = cfg["corpus"]
     schema = DOMAIN_SCHEMAS[c["domain"]]
+    seeds = range(_num_seeds(cfg, graph))
     if c["mock"]:
         client = corpus_mod.MockLlmClient()
     else:
@@ -307,7 +315,6 @@ def cmd_gen_corpus(cfg: dict, run: RunDir) -> int:
             endpoint=c["endpoint"], model=c["model"], max_tokens=c["max_tokens"],
             timeout=c["timeout"], api_key_env=c["api_key_env"],
         ))
-    seeds = range(c["num_seeds"]) if c["num_seeds"] else None
     out_path = run.path / "pairs.jsonl"
     report = corpus_mod.generate_pairs(
         graph, _sampler_config(cfg), schema, c["domain"], client, out_path,

@@ -68,6 +68,30 @@ DOMAIN_SCHEMAS = {
 }
 
 
+def node_data(schema: GraphMLSchema, values: Sequence[str]) -> str:
+    """A node's escaped ``<data>`` lines, one per schema attribute, in the
+    form :func:`write_graphml` takes."""
+    return "\n".join(f'            <data key="{key_id}">{escape(value)}</data>'
+                     for (key_id, _), value in zip(schema.node_attr_keys, values))
+
+
+def write_graphml(schema: GraphMLSchema, nodes: Sequence[str], edges) -> str:
+    """Assemble a document from each local node's :func:`node_data` lines
+    and the local ``(u, v)`` edges."""
+    edge_id, edge_name = schema.edge_attr_key
+    parts = [XML_DECLARATION, "<graphml>"]
+    parts.extend(f'<key id="{key_id}" for="node" attr.name="{name}" attr.type="string"/>'
+                 for key_id, name in schema.node_attr_keys)
+    parts.append(f'<key id="{edge_id}" for="edge" attr.name="{edge_name}" attr.type="string"/>')
+    parts.append('<graph id="G" edgedefault="undirected">')
+    parts.extend(f'    <node id="n{i}">\n{data}\n    </node>' for i, data in enumerate(nodes))
+    relation = f'            <data key="{edge_id}" >{escape(schema.relation_word)}</data>'
+    parts.extend(f'    <edge id="e{k}" source="n{u}" target="n{v}">\n{relation}\n    </edge>'
+                 for k, (u, v) in enumerate(edges))
+    parts.append("</graph>\n</graphml>\n")
+    return "\n".join(parts)
+
+
 def emit_graphml(
     sub: EgoSubgraph,
     schema: GraphMLSchema,
@@ -88,33 +112,8 @@ def emit_graphml(
         for i, value in enumerate(values):
             if value is None:
                 raise ValidationError(f"node n{i} has no value for key {key_id} ({name})")
-
-    lines = [XML_DECLARATION, "<graphml>"]
-    for key_id, name in schema.node_attr_keys:
-        lines.append(
-            f'<key id="{key_id}" for="node" attr.name="{name}" attr.type="string"/>'
-        )
-    edge_id, edge_name = schema.edge_attr_key
-    lines.append(
-        f'<key id="{edge_id}" for="edge" attr.name="{edge_name}" attr.type="string"/>'
-    )
-    lines.append('<graph id="G" edgedefault="undirected">')
-    for i in range(n):
-        lines.append(f'    <node id="n{i}">')
-        for key_id, name in schema.node_attr_keys:
-            lines.append(
-                f'            <data key="{key_id}">{escape(node_texts[name][i])}</data>'
-            )
-        lines.append("    </node>")
-    for k, (u, v) in enumerate(sub.edges):
-        lines.append(f'    <edge id="e{k}" source="n{u}" target="n{v}">')
-        lines.append(
-            f'            <data key="{edge_id}" >{escape(schema.relation_word)}</data>'
-        )
-        lines.append("    </edge>")
-    lines.append("</graph>")
-    lines.append("</graphml>")
-    return "\n".join(lines) + "\n"
+    columns = [node_texts[name] for name in schema.attr_names]
+    return write_graphml(schema, [node_data(schema, row) for row in zip(*columns)], sub.edges)
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,19 @@
 """Frozen references that the vectorized code in ``tagsum`` is tested
 against. Nothing here may change: the tests require exact equality with the
-scalar loops, and agreement within 1e-12 with ``query_major_mixing``, the
-encoder's attention sublayer before it went key-major.
+scalar loops and the per-seed corpus builder, and agreement within 1e-12
+with ``query_major_mixing``, the encoder's attention sublayer before it went
+key-major.
 """
 
 import itertools
+import json
+from xml.sax.saxutils import escape
 
 import numpy as np
 
-from tagsum.graphs import TextAttributedGraph
+from tagsum.corpus import split_node_text
+from tagsum.graphs import TextAttributedGraph, induced_subgraph, rwr_batch
+from tagsum.prompts import render_summary_prompt
 
 
 def _walk(neighbors, seed_node: int, restart_prob: float, draw):
@@ -153,3 +158,56 @@ def query_major_mixing(x, adjacency, sizes, params, heads, grad):
           + adjacency.swapaxes(-1, -2) @ (dz @ params["local_neigh.weight"].T)
           + (dqkv @ qkv_weight.T).reshape(b, n, hidden))
     return out, dx, dparams
+
+
+def line_emit_graphml(sub, schema, node_texts) -> str:
+    """The GraphML dialect written a line at a time, every value escaped
+    where it is written."""
+    lines = ['<?xml version="1.0" encoding="UTF-8"?>', "<graphml>"]
+    for key_id, name in schema.node_attr_keys:
+        lines.append(f'<key id="{key_id}" for="node" attr.name="{name}" attr.type="string"/>')
+    edge_id, edge_name = schema.edge_attr_key
+    lines.append(f'<key id="{edge_id}" for="edge" attr.name="{edge_name}" attr.type="string"/>')
+    lines.append('<graph id="G" edgedefault="undirected">')
+    for i in range(sub.num_nodes):
+        lines.append(f'    <node id="n{i}">')
+        for key_id, name in schema.node_attr_keys:
+            lines.append(f'            <data key="{key_id}">{escape(node_texts[name][i])}</data>')
+        lines.append("    </node>")
+    for k, (u, v) in enumerate(sub.edges):
+        lines.append(f'    <edge id="e{k}" source="n{u}" target="n{v}">')
+        lines.append(f'            <data key="{edge_id}" >{escape(schema.relation_word)}</data>')
+        lines.append("    </edge>")
+    lines.append("</graph>")
+    lines.append("</graphml>")
+    return "\n".join(lines) + "\n"
+
+
+def per_seed_document(graph, seed: int, sampler_cfg, schema, truncate_chars):
+    """One seed's subgraph and GraphML document: its own walk, its own
+    induced subgraph, and every node's text split and truncated for it."""
+    node_ids = rwr_batch(graph, [seed], [sampler_cfg.rng_seed], sampler_cfg, None)[0]
+    sub = induced_subgraph(graph, seed, node_ids, None)
+    names = schema.attr_names
+    texts = {name: [] for name in names}
+    for g in sub.global_ids:
+        for name, part in zip(names, split_node_text(graph.raw_text[g], len(names))):
+            texts[name].append(part if truncate_chars is None else part[:truncate_chars])
+    return sub, line_emit_graphml(sub, schema, texts)
+
+
+def per_seed_corpus(graph, seeds, sampler_cfg, schema, domain, truncate_chars, client):
+    """The summary prompt of every seed inside the graph, in seed order, and
+    the pair sink's bytes when ``client`` answers each prompt at once."""
+    prompts, sink = [], ""
+    for seed in seeds:
+        if not 0 <= seed < graph.num_nodes:
+            continue
+        sub, doc = per_seed_document(graph, seed, sampler_cfg, schema, truncate_chars)
+        prompt = render_summary_prompt(doc, domain, sub.center_local_id)
+        summary = client.complete(prompt)
+        prompts.append(prompt)
+        sink += json.dumps({"domain": domain, "graph_id": graph.graph_id, "sampler_seed":
+                            sampler_cfg.rng_seed, "seed_id": seed, "summary": summary,
+                            "token_count": len(summary.split())}, sort_keys=True) + "\n"
+    return prompts, sink.encode("utf-8")

@@ -369,6 +369,23 @@ class TestErrors:
         assert "retries" in parsed["error"]
         assert not (out / "pairs.jsonl").exists()
 
+    @pytest.mark.parametrize("command, option, value", [
+        (command, option, value) for command in ("gen-corpus", "sample")
+        for option, value in [("num_seeds", "-3"), ("num_seeds", "0"),
+                              ("truncate_chars", "-1"), ("truncate_chars", "0"),
+                              ("max_in_flight", "0"), ("max_in_flight", "-2")]
+        if not (command == "sample" and option == "max_in_flight")])   # sample sends none
+    def test_out_of_range_corpus_option_is_validation_error(self, workdir, tmp_path, capsys,
+                                                            command, option, value):
+        out = tmp_path / "corpus"
+        code = main([command, "--graph", str(workdir / "graph.tsv"), "--out", str(out),
+                     f"--corpus.{option}", value, *SMALL])
+        assert code == EXIT_VALIDATION
+        parsed = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert option in parsed["error"]
+        assert not (out / "pairs.jsonl").exists()
+        assert not list(out.glob("subgraphs/*"))
+
     @pytest.mark.parametrize("line", [b"not json", b"[1,2]", b'{"sha256": "ab"}',
                                       b'{"sha256": "caf\xe9", "vector": [1.0]}'],
                              ids=["not-json", "list", "no-vector", "not-utf8"])

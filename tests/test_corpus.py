@@ -1,13 +1,22 @@
 """Pair generation, dataset io, clients."""
 
 import json
+import os
+import subprocess
+import sys
+import tempfile
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tagsum
+from reference import line_emit_graphml, per_seed_corpus, per_seed_document
+from tagsum import corpus, graphs
 from tagsum.corpus import (
     GraphSummaryPair,
     HttpLlmClient,
@@ -16,12 +25,14 @@ from tagsum.corpus import (
     generate_pairs,
     read_pairs,
     split_node_text,
+    subgraph_documents,
     token_count,
     write_pairs,
 )
 from tagsum.errors import ParseError, TagsumError, ValidationError
-from tagsum.graphml import ACADEMIC_SCHEMA
-from tagsum.graphs import SamplerConfig, TextAttributedGraph
+from tagsum.graphml import ACADEMIC_SCHEMA, DOMAIN_SCHEMAS, emit_graphml
+from tagsum.graphs import SamplerConfig, TextAttributedGraph, rwr_batch
+from tagsum.prompts import DOMAINS, render_summary_prompt
 
 
 @pytest.fixture
@@ -150,17 +161,9 @@ class TestSplitNodeText:
 
 class TestMockClient:
     def test_echoes_seed_title(self, graph):
-        from tagsum.corpus import subgraph_node_texts
-        from tagsum.graphml import emit_graphml
-        from tagsum.graphs import rwr_sample
-        from tagsum.prompts import render_summary_prompt
-
-        sub = rwr_sample(graph, 2, SAMPLER)
-        texts = subgraph_node_texts(graph, sub, ACADEMIC_SCHEMA)
-        prompt = render_summary_prompt(
-            emit_graphml(sub, ACADEMIC_SCHEMA, texts), "academic",
-            sub.center_local_id)
-        summary = MockLlmClient().complete(prompt)
+        walks = rwr_batch(graph, [2], [SAMPLER.rng_seed], SAMPLER, None)
+        [(center, doc)] = subgraph_documents(graph, ACADEMIC_SCHEMA, [2], walks)
+        summary = MockLlmClient().complete(render_summary_prompt(doc, "academic", center))
         assert "title 2" in summary
 
     def test_all_generated_summaries_contain_seed_title(self, graph, tmp_path):
@@ -194,6 +197,18 @@ class InterruptingClient:
         if not self.left:
             raise KeyboardInterrupt
         self.left -= 1
+        return self.mock.complete(prompt)
+
+
+class RecordingClient:
+    """Answers like the mock and keeps every prompt it was sent."""
+
+    def __init__(self):
+        self.prompts = []
+        self.mock = MockLlmClient()
+
+    def complete(self, prompt):
+        self.prompts.append(prompt)
         return self.mock.complete(prompt)
 
 
@@ -279,10 +294,8 @@ class TestGeneratePairs:
         par = generate_pairs(graph, SAMPLER, ACADEMIC_SCHEMA, "academic",
                              MockLlmClient(), tmp_path / "par.jsonl", retries=0,
                              max_in_flight=4)
-        assert (sorted(p.key for p in seq.written)
-                == sorted(p.key for p in par.written))
-        assert ({p.summary for p in read_pairs(tmp_path / "seq.jsonl")}
-                == {p.summary for p in read_pairs(tmp_path / "par.jsonl")})
+        assert par.written == seq.written
+        assert (tmp_path / "par.jsonl").read_bytes() == (tmp_path / "seq.jsonl").read_bytes()
 
     def test_rejects_negative_retries(self, graph, tmp_path):
         out = tmp_path / "p.jsonl"
@@ -290,6 +303,155 @@ class TestGeneratePairs:
             generate_pairs(graph, SAMPLER, ACADEMIC_SCHEMA, "academic",
                            MockLlmClient(), out, retries=-1)
         assert not out.exists()
+
+    @pytest.mark.parametrize("option, value", [
+        ("max_in_flight", 0), ("max_in_flight", -2),
+        ("truncate_chars", 0), ("truncate_chars", -1)])
+    def test_rejects_out_of_range_options(self, graph, tmp_path, option, value):
+        out = tmp_path / "p.jsonl"
+        with pytest.raises(ValidationError, match=option):
+            generate_pairs(graph, SAMPLER, ACADEMIC_SCHEMA, "academic",
+                           MockLlmClient(), out, **{option: value})
+        assert not out.exists()
+
+    def test_one_induction_per_chunk_and_one_sink_handle(self, tmp_path, monkeypatch):
+        n = 2 * corpus.INDUCE_CHUNK + 5
+        ring = TextAttributedGraph.from_edges(
+            n, [(i, (i + 1) % n) for i in range(n)],
+            [f"title {i}\nbody & <{i}>" for i in range(n)], graph_id="ring")
+        out = tmp_path / "p.jsonl"
+        induced, opened = [], []
+        real_induced_edges, real_open = corpus.induced_edges, open
+
+        def counting_induced_edges(*args, **kwargs):
+            induced.append(len(args[1]))
+            return real_induced_edges(*args, **kwargs)
+
+        def counting_open(path, mode="r", *args, **kwargs):
+            opened.append((Path(path), mode))
+            return real_open(path, mode, *args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-seed induced_subgraph called")
+
+        monkeypatch.setattr(corpus, "induced_edges", counting_induced_edges)
+        monkeypatch.setattr(corpus, "open", counting_open, raising=False)
+        monkeypatch.setattr(graphs, "induced_subgraph", refuse)
+        client = RecordingClient()
+        report = generate_pairs(ring, SAMPLER, ACADEMIC_SCHEMA, "academic", client, out,
+                                retries=0)
+        assert len(report.written) == n
+        assert induced == [corpus.INDUCE_CHUNK, corpus.INDUCE_CHUNK, 5]   # ceil(n / chunk) calls
+        assert opened == [(out, "a")]
+        monkeypatch.undo()
+        prompts, sink = per_seed_corpus(ring, range(n), SAMPLER, ACADEMIC_SCHEMA, "academic",
+                                        500, MockLlmClient())
+        assert client.prompts == prompts
+        assert out.read_bytes() == sink
+
+    def test_sink_keeps_every_finished_record_when_the_process_dies(self, graph, tmp_path):
+        whole = tmp_path / "whole.jsonl"
+        generate_pairs(graph, SAMPLER, ACADEMIC_SCHEMA, "academic", MockLlmClient(), whole,
+                       retries=0)
+        out, k = tmp_path / "pairs.jsonl", 3
+        script = f"""
+import os, sys
+from tagsum.corpus import MockLlmClient, generate_pairs
+from tagsum.graphml import ACADEMIC_SCHEMA
+from tagsum.graphs import SamplerConfig, TextAttributedGraph
+
+class DyingClient:
+    left = {k}
+    def complete(self, prompt):
+        if not self.left:
+            os._exit(17)
+        self.left -= 1
+        return MockLlmClient().complete(prompt)
+
+graph = TextAttributedGraph.from_edges(
+    {graph.num_nodes}, {[tuple(map(int, e)) for e in graph.edges]!r}, {list(graph.raw_text)!r},
+    graph_id={graph.graph_id!r})
+generate_pairs(graph, SamplerConfig(node_budget={SAMPLER.node_budget},
+                                    max_steps={SAMPLER.max_steps}, rng_seed={SAMPLER.rng_seed}),
+               ACADEMIC_SCHEMA, "academic", DyingClient(), sys.argv[1], retries=0)
+"""
+        src = str(Path(tagsum.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", script, str(out)], timeout=120,
+                              env={**os.environ, "PYTHONPATH": src}, capture_output=True)
+        assert done.returncode == 17, done.stderr.decode()
+        raw = out.read_bytes()
+        assert raw.count(b"\n") == k and raw.endswith(b"\n")
+        assert len(read_pairs(out)) == k
+        report = generate_pairs(graph, SAMPLER, ACADEMIC_SCHEMA, "academic",
+                                MockLlmClient(), out, retries=0)
+        assert report.skipped_existing == k
+        assert out.read_bytes() == whole.read_bytes()
+
+
+# Node text with the characters the dialect escapes and the split point.
+NODE_TEXT = st.text(alphabet="ab <&>\n'\"", max_size=10)
+
+
+@st.composite
+def corpus_inputs(draw):
+    """A small graph (some nodes isolated), seeds in it plus one outside it."""
+    n = draw(st.integers(1, 10))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=14))
+    edges = sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v})
+    texts = draw(st.lists(NODE_TEXT, min_size=n, max_size=n))
+    graph = TextAttributedGraph.from_edges(n, edges, texts, graph_id="prop")
+    seeds = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=12, unique=True))
+    seeds.insert(draw(st.integers(0, len(seeds))), draw(st.sampled_from([-1, n, n + 3])))
+    return graph, seeds
+
+
+class TestAgainstPerSeedBuilder:
+    """Batched documents, prompts and sink bytes equal the per-seed builder's."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(inputs=corpus_inputs(), domain=st.sampled_from(DOMAINS),
+           truncate_chars=st.sampled_from([None, 1, 4]), chunk=st.integers(1, 4),
+           max_in_flight=st.sampled_from([1, 4]))
+    def test_prompts_and_sink(self, inputs, domain, truncate_chars, chunk, max_in_flight):
+        graph, seeds = inputs
+        schema = DOMAIN_SCHEMAS[domain]
+        sampler = SamplerConfig(node_budget=4, max_steps=24, rng_seed=5)
+        client = RecordingClient()
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(corpus, "INDUCE_CHUNK", chunk):
+            out, manifest = Path(tmp) / "pairs.jsonl", Path(tmp) / "failures.jsonl"
+            report = generate_pairs(graph, sampler, schema, domain, client, out, seeds,
+                                    retries=0, truncate_chars=truncate_chars,
+                                    max_in_flight=max_in_flight,
+                                    failure_manifest_path=manifest)
+            sink, failures = out.read_bytes(), manifest.read_text().splitlines()
+        prompts, expected = per_seed_corpus(graph, seeds, sampler, schema, domain,
+                                            truncate_chars, MockLlmClient())
+        assert sink == expected
+        if max_in_flight == 1:
+            assert client.prompts == prompts
+        else:
+            assert sorted(client.prompts) == sorted(prompts)
+        outside = [s for s in seeds if not 0 <= s < graph.num_nodes]
+        assert [json.loads(line)["seed_id"] for line in failures] == outside
+        assert [f["error"] for f in report.failures] == [f"seed node {outside[0]} out of range"]
+
+    @settings(max_examples=30, deadline=None)
+    @given(inputs=corpus_inputs(), domain=st.sampled_from(DOMAINS),
+           truncate_chars=st.sampled_from([None, 2]))
+    def test_documents_and_emit_graphml(self, inputs, domain, truncate_chars):
+        graph, seeds = inputs
+        schema = DOMAIN_SCHEMAS[domain]
+        seeds = [s for s in seeds if 0 <= s < graph.num_nodes]
+        walks = rwr_batch(graph, seeds, [SAMPLER.rng_seed] * len(seeds), SAMPLER, None)
+        for seed, (center, doc) in zip(
+                seeds, subgraph_documents(graph, schema, seeds, walks, truncate_chars)):
+            sub, expected = per_seed_document(graph, seed, SAMPLER, schema, truncate_chars)
+            assert (center, doc) == (sub.center_local_id, expected)
+            texts = {name: [split_node_text(graph.raw_text[g], len(schema.attr_names))[i]
+                            for g in sub.global_ids]
+                     for i, name in enumerate(schema.attr_names)}
+            assert emit_graphml(sub, schema, texts) == line_emit_graphml(sub, schema, texts)
 
 
 class _StubHandler(BaseHTTPRequestHandler):

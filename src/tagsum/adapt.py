@@ -474,6 +474,8 @@ def prompt_tune(
     """
     if graph.features is None:
         raise ValidationError("graph needs features (attach a text encoder first)")
+    if epochs < 0:
+        raise ValidationError(f"epochs must be >= 0, got {epochs}")
     sampler_cfg = sampler_cfg or SamplerConfig()
     checksum_before = store.checksum()
     if text_encoder is not None:

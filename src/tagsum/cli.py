@@ -130,6 +130,14 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a :class:`UsageError`, so that it ends in
+    the same JSON error as every other usage fault."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 # The type a value must have where the default is unset (None).
 UNSET_TYPES = {
     "paths.graph": str, "paths.pairs": str, "paths.checkpoint": str, "paths.labels": str,
@@ -334,7 +342,7 @@ def cmd_pretrain(cfg: dict, run: RunDir) -> int:
     graph = attach_features(graph, text_encoder)
     p = cfg["pretrain"]
     pert = None
-    if p["epsilon"] > 0:
+    if p["epsilon"] != 0:                      # a negative or NaN epsilon fails the state's check
         pert = PerturbationState(epsilon=p["epsilon"], norm_p=float(p["norm_p"]),
                                  inner_steps=p["inner_steps"])
     result = pretrain(
@@ -483,7 +491,7 @@ COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tagsum",
         description="Graph-summary contrastive pretraining and adaptation toolkit",
     )
@@ -504,8 +512,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args, rest = parser.parse_known_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    except SystemExit:                         # --help
+        return EXIT_OK
+    except UsageError as exc:
+        print(json.dumps({"error": str(exc), "code": EXIT_USAGE}), file=sys.stderr)
+        return EXIT_USAGE
 
     try:
         overrides = _parse_overrides(rest)
@@ -521,6 +532,11 @@ def main(argv=None) -> int:
             config["theory"]["zeta"] = args.zeta
         if args.shots is not None:
             config["adapt"]["shots"] = args.shots
+        if config["seed"] < 0:
+            raise ValidationError(f"seed must be >= 0, got {config['seed']}")
+        if config["corpus"]["domain"] not in DOMAIN_SCHEMAS:
+            raise ValidationError(f"unknown corpus.domain {config['corpus']['domain']!r}; "
+                                  f"choose from {sorted(DOMAIN_SCHEMAS)}")
 
         run = RunDir(config["out_dir"], config)
         code = COMMANDS[args.command](config, run)
@@ -532,8 +548,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(json.dumps({"error": str(exc), "code": EXIT_USAGE}), file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(json.dumps({"error": f"missing input: {exc}", "code": EXIT_USAGE}),
+    except OSError as exc:                     # a missing file, a directory where a file belongs
+        print(json.dumps({"error": f"bad path: {exc}", "code": EXIT_USAGE}),
               file=sys.stderr)
         return EXIT_USAGE
     except NonFiniteLossError as exc:

@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-import requests
 
 from .errors import ParseError, ValidationError, parse_json_object
 from .graphml import GraphMLSchema, node_data, parse_graphml, write_graphml
@@ -133,13 +132,19 @@ class LlmClientConfig:
 
 class HttpLlmClient:
     """Minimal chat-completion client. Bearer token read from the configured
-    environment variable at call time."""
+    environment variable at call time. ``requests`` is imported only when no
+    session is injected, so runs that make no network call never load the
+    HTTP and TLS stack."""
 
     def __init__(self, config: LlmClientConfig, session=None):
         if not config.endpoint:
             raise ValidationError("endpoint required for HTTP client")
         self.config = config
-        self._session = session or requests.Session()
+        if session is None:
+            import requests
+
+            session = requests.Session()
+        self._session = session
 
     def complete(self, prompt: str) -> str:
         cfg = self.config

@@ -290,6 +290,9 @@ def run_grad_check(
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> GradCheckReport:
     """The full gradient suite over a set of small encoder configurations."""
+    if trials < 0 or not step > 0 or not tolerance > 0:
+        raise ValidationError(f"need trials >= 0 and a positive step and tolerance, "
+                              f"got {trials}, {step} and {tolerance}")
     report = GradCheckReport(tolerance=tolerance)
     configs = [
         GraphEncoderConfig(layers=1, hidden=4, heads=1, positional_dim=2, text_dim=3),

@@ -12,7 +12,6 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from typing import Mapping, Sequence
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -20,6 +19,13 @@ from .errors import ParseError, ValidationError
 from .graphs import EgoSubgraph
 
 XML_DECLARATION = '<?xml version="1.0" encoding="UTF-8"?>'
+
+
+def escape(text: str) -> str:
+    """Escape ``&``, ``<`` and ``>`` as ``xml.sax.saxutils.escape`` does, byte
+    for byte. That module imports ``urllib.request``, which loads the HTTP and
+    TLS stack into every process that writes GraphML."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 @dataclass(frozen=True)

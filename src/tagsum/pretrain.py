@@ -50,7 +50,7 @@ class PerturbationState:
     inner_steps: int = 3
 
     def __post_init__(self):
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:
             raise ValidationError("epsilon must be >= 0")
         if self.norm_p not in (2.0, float("inf")):
             raise ValidationError("norm_p must be 2 or inf")
@@ -90,6 +90,12 @@ def ascent_direction(grad: np.ndarray, norm_p: float) -> np.ndarray:
 class OptimizerConfig:
     lr: float = 1e-5
     weight_decay: float = 1e-5
+
+    def __post_init__(self):
+        if not self.lr > 0:
+            raise ValidationError(f"lr must be positive, got {self.lr}")
+        if not self.weight_decay >= 0:
+            raise ValidationError(f"weight_decay must be >= 0, got {self.weight_decay}")
 
 
 class AdamW:
@@ -286,6 +292,9 @@ def pretrain(
     """
     if not pairs:
         raise ValidationError("empty pair dataset")
+    if epochs < 0 or batch_size < 1 or checkpoint_every < 0:
+        raise ValidationError(f"need epochs >= 0, batch_size >= 1 and checkpoint_every >= 0, "
+                              f"got {epochs}, {batch_size} and {checkpoint_every}")
     optimizer_config = optimizer_config or OptimizerConfig()
     perturbation = perturbation or PerturbationState(epsilon=0.0)
     sampler_cfg = sampler_cfg or SamplerConfig()

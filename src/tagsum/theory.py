@@ -140,7 +140,7 @@ class PropositionReport:
 def verify_proposition(zeta: float, n_samples: int = 1_000_000,
                        seed: int = 0) -> PropositionReport:
     """Check that alignment < zeta while the cross-domain risk gap stays 1/4."""
-    if zeta <= 0:
+    if not zeta > 0:
         raise ValidationError("zeta must be positive")
     t = math.sqrt(zeta) / 2.0
     rep = LinearRep(t=t)
@@ -266,6 +266,10 @@ def verify_theorem_bound(
     """For every (t, classifier) grid point, check that the largest risk gap
     across the scaling domains is covered by constant * ||c|| * worst-case
     alignment discrepancy, allowing 3 combined standard errors."""
+    if not (len(rep_grid) and len(classifier_grid) and len(scales)):
+        raise ValidationError("the t grid, the classifier grid and the scales must be nonempty")
+    if any(len(c) != 2 for c in classifier_grid):
+        raise ValidationError("each classifier is a (weight, threshold) pair")
     scales = tuple(float(m) for m in scales)
     reps = [
         LinearRep(t=float(t), weight=float(w), threshold=float(b))

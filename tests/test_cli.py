@@ -1,15 +1,24 @@
 """Command-line surface: artifacts, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tagsum
 from tagsum.adapt import save_label_prompt_asset
 from tagsum.cli import (
     DEFAULT_CONFIG, EXIT_GATE, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, _apply_dotted,
-    UNSET_TYPES, _merge, main,
+    COMMANDS, _expected_type, UNSET_TYPES, _merge, build_parser, main,
 )
 from tagsum.encoder import CHECKPOINT_MAGIC
 from tagsum.errors import ValidationError
@@ -421,6 +430,38 @@ class TestErrors:
         assert not (out / "report.csv").exists()
 
 
+# Modules of the HTTP and TLS stack. Only an HttpLlmClient built without an
+# injected session needs them.
+NETWORK_MODULES = ("requests", "urllib3", "ssl", "http.client", "urllib.request")
+
+
+class TestNetworkStackStaysOut:
+    def test_offline_stages_load_no_network_module(self, tmp_path):
+        script = f"""
+import json, sys
+from pathlib import Path
+import tagsum
+import tagsum.cli
+from tagsum.graphs import save_graph
+from tagsum.synthetic import make_synthetic_tag
+
+root = Path(sys.argv[1])
+save_graph(make_synthetic_tag(12, seed=0, graph_id="tiny"), root / "tiny.tsv")
+for command in ("gen-corpus", "sample"):
+    code = tagsum.cli.main([command, "--graph", str(root / "tiny.tsv"),
+                            "--out", str(root / command), "--corpus.num_seeds", "4"])
+    assert code == 0, (command, code)
+print(json.dumps([name for name in {NETWORK_MODULES!r} if name in sys.modules]))
+"""
+        src = str(Path(tagsum.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], timeout=120,
+                              env={**os.environ, "PYTHONPATH": src}, capture_output=True)
+        assert done.returncode == 0, done.stderr.decode()
+        assert json.loads(done.stdout.decode().splitlines()[-1]) == []
+        assert len((tmp_path / "gen-corpus" / "pairs.jsonl").read_text().splitlines()) == 4
+        assert len(list((tmp_path / "sample" / "subgraphs").glob("*.graphml"))) == 4
+
+
 class TestConfigTypes:
     def test_int_accepted_for_float(self):
         merged = _merge(DEFAULT_CONFIG, {"optimizer": {"lr": 1}})
@@ -469,3 +510,239 @@ class TestConfigTypes:
                             ("sampler", '{"node_budget": "x"}')):
             with pytest.raises(ValidationError, match="gradcheck.trials|sampler"):
                 _apply_dotted(config, dotted, raw)
+
+
+# --- main never raises: every drawn command line carries at least one fault ---
+
+# Small valid settings per command, as (flag, value) units. A fault on the same
+# flag replaces the unit.
+BASE_UNITS = {
+    "sample": [("--corpus.num_seeds", "3")],
+    "gen-corpus": [("--corpus.num_seeds", "3")],
+    "pretrain": [("--pretrain.epochs", "1"), ("--pretrain.batch_size", "6")],
+    "eval-nc": [("--shots", "0"), ("--adapt.runs", "1")],
+    "eval-lp": [("--adapt.runs", "1")],
+    "tune": [("--shots", "1"), ("--adapt.runs", "1"), ("--adapt.tune_epochs", "2")],
+    "theory": [("--theory.samples", "10000"), ("--theory.grid_samples", "10000")],
+    "grad-check": [("--gradcheck.trials", "1")],
+}
+INPUT_FLAGS = {
+    "sample": ["--graph"], "gen-corpus": ["--graph"], "pretrain": ["--graph", "--pairs"],
+    "eval-nc": ["--checkpoint", "--graph", "--labels"],
+    "eval-lp": ["--checkpoint", "--graph"],
+    "tune": ["--checkpoint", "--graph", "--labels"],
+    "theory": [], "grad-check": [],
+}
+
+# Out-of-range values, by the commands that read them.
+_SAMPLER = [("--sampler.restart_prob", v) for v in ("0", "1", "-0.5", "NaN")] + [
+    ("--sampler.node_budget", "0"), ("--sampler.max_steps", "2")]
+_EVERY = [("--seed", "-1"), ("--corpus.domain", "nope")]
+_CORPUS = [("--corpus.num_seeds", "0"), ("--corpus.truncate_chars", "0")]
+_TUNING = [("--adapt.runs", "0"), ("--adapt.tune_epochs", "-1"), ("--adapt.tune_lr", "-1"),
+           ("--adapt.tune_weight_decay", "-1"), ("--adapt.temperature", "0")]
+OUT_OF_RANGE = {
+    "sample": _EVERY + _SAMPLER + _CORPUS,
+    "gen-corpus": _EVERY + _SAMPLER + _CORPUS + [
+        ("--corpus.retries", "-1"), ("--corpus.max_in_flight", "0")],
+    "pretrain": _EVERY + _SAMPLER + [
+        ("--encoder.layers", "0"), ("--encoder.hidden", "0"), ("--encoder.heads", "3"),
+        ("--encoder.positional_dim", "0"), ("--encoder.text_dim", "5"),
+        ("--encoder.preset", "nope"), ("--text_encoder.dim", "0"),
+        ("--text_encoder.impl", "nope"), ("--text_encoder.impl", "table"),
+        ("--pretrain.epochs", "-1"), ("--pretrain.batch_size", "0"),
+        ("--pretrain.temperature", "0"), ("--pretrain.epsilon", "-1"),
+        ("--pretrain.epsilon", "NaN"), ("--pretrain.norm_p", "3"),
+        ("--pretrain.inner_steps", "0"), ("--pretrain.checkpoint_every", "-1"),
+        ("--optimizer.lr", "-1"), ("--optimizer.lr", "NaN"), ("--optimizer.weight_decay", "-1")],
+    "eval-nc": _EVERY + _SAMPLER + [
+        ("--adapt.test_fraction", "0"), ("--adapt.test_fraction", "1.5"),
+        ("--adapt.runs", "0"), ("--shots", "2"), ("--text_encoder.dim", "5")],
+    "eval-lp": _EVERY + _SAMPLER + [
+        ("--adapt.link_test_fraction", "0"), ("--adapt.link_test_fraction", "1.5"),
+        ("--adapt.runs", "0")],
+    "tune": _EVERY + _SAMPLER + _TUNING + [("--shots", "0"), ("--shots", "-1")],
+    "theory": _EVERY + [
+        ("--zeta", "0"), ("--zeta", "NaN"), ("--theory.zeta", "-1"),
+        ("--theory.samples", "0"), ("--theory.grid_samples", "1"),
+        ("--theory.t_grid", "[]"), ("--theory.t_grid", "[-1]"),
+        ("--theory.classifier_grid", "[]"), ("--theory.classifier_grid", "[[0, 0]]"),
+        ("--theory.classifier_grid", "[[1]]"), ("--theory.classifier_grid", "[[1, 0, 2]]"),
+        ("--theory.scales", "[]"), ("--theory.truncation_radius", "0")],
+    "grad-check": _EVERY + [
+        ("--gradcheck.trials", "-1"), ("--gradcheck.step", "0"), ("--gradcheck.step", "-1"),
+        ("--gradcheck.tolerance", "0"), ("--gradcheck.tolerance", "-1")],
+}
+
+# Values of the wrong JSON type, by the type a key takes. null is wrong too
+# where the default is set.
+WRONG_VALUES = {
+    bool: [1, "x", []], int: [1.5, True, "x", [1], {}], float: [True, "x", [1], {}],
+    str: [5, True, [], {}], list: [1, "x", {}, ["a"]], dict: [1, "x", [1]],
+}
+
+
+def _config_keys(node=DEFAULT_CONFIG, prefix=""):
+    """(dotted key, default) for every section and leaf of the config."""
+    for key, value in node.items():
+        yield prefix + key, value
+        if isinstance(value, dict):
+            yield from _config_keys(value, f"{prefix}{key}.")
+
+
+CONFIG_KEYS = dict(_config_keys())
+LONG_OPTIONS = [s for s in build_parser()._option_string_actions if s.startswith("--")]
+
+
+def _wrong_value(key):
+    default = CONFIG_KEYS[key]
+    return st.sampled_from(WRONG_VALUES[_expected_type(key, default)]
+                           + ([None] if default is not None else []))
+
+
+def _nested(dotted, value):
+    """The config-file form of a dotted key: ``a.b`` -> ``{"a": {"b": value}}``."""
+    for part in reversed(dotted.split(".")):
+        value = {part: value}
+    return value
+
+
+# An override key that names no config key and abbreviates no option.
+UNKNOWN_KEYS = st.from_regex(r"[a-z_]{1,8}(\.[a-z_]{1,8}){0,2}", fullmatch=True).filter(
+    lambda k: k not in CONFIG_KEYS and not any(o.startswith("--" + k) for o in LONG_OPTIONS))
+SAFE_TOKENS = st.from_regex(r"[a-z0-9.]{0,6}", fullmatch=True)
+# Leaf keys whose argv value is parsed as JSON, so that a token can have the wrong type.
+TYPED_LEAVES = sorted(k for k, v in CONFIG_KEYS.items()
+                      if not isinstance(v, dict) and _expected_type(k, v) is not str)
+
+
+@st.composite
+def bad_file(draw, root, name):
+    """A path that is missing, a directory, or a file no loader accepts."""
+    kind = draw(st.sampled_from(["missing", "directory", "empty", "not utf-8"]))
+    path = root / name
+    if kind == "missing":
+        return str(root / "no_such_file")
+    if kind == "directory":
+        return str(root)
+    path.write_bytes(b"" if kind == "empty" else b"\xff" + draw(st.binary(max_size=40)))
+    return str(path)
+
+
+@st.composite
+def bad_config(draw, root, name):
+    """A --config file that is unreadable, not JSON, not an object, or holds
+    an unknown key or a value of the wrong type."""
+    kind = draw(st.sampled_from(["file", "truncated", "not an object", "unknown key",
+                                 "wrong type"]))
+    if kind == "file":
+        return draw(bad_file(root, name))
+    if kind == "truncated":
+        text = json.dumps(draw(st.dictionaries(st.sampled_from(sorted(DEFAULT_CONFIG)),
+                                               st.just({}))))[:-1]
+    elif kind == "not an object":
+        text = json.dumps(draw(st.recursive(
+            st.none() | st.booleans() | st.integers() | st.text(max_size=5),
+            lambda inner: st.lists(inner, max_size=3), max_leaves=5)))
+    elif kind == "unknown key":
+        text = json.dumps(_nested(draw(UNKNOWN_KEYS), 1))
+    else:
+        key = draw(st.sampled_from(sorted(CONFIG_KEYS)))
+        text = json.dumps(_nested(key, draw(_wrong_value(key))))
+    path = root / name
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+@st.composite
+def faulty_argv(draw, command, root, valid_inputs):
+    """argv for ``command`` with small valid settings and one to three faults.
+    Most examples carry one fault, so that the checks inside the stages run,
+    not only the first check of the command line."""
+    faults = []
+    kinds = ["unknown flag", "wrong type", "out of range", "out of range", "bad config",
+             "out is a file"]
+    if INPUT_FLAGS[command]:
+        kinds.append("bad input")
+    count = draw(st.sampled_from([1, 1, 1, 2, 3]))
+    for i, kind in enumerate(draw(st.lists(st.sampled_from(kinds), min_size=count,
+                                           max_size=count))):
+        if kind == "unknown flag":
+            form = draw(st.sampled_from(["with value", "alone", "positional"]))
+            if form == "positional":
+                faults.append((draw(st.sampled_from(["-x", "stray"])),))
+            else:
+                flag = "--" + draw(UNKNOWN_KEYS)
+                faults.append((flag, draw(SAFE_TOKENS)) if form == "with value" else (flag,))
+        elif kind == "wrong type":
+            key = draw(st.sampled_from(TYPED_LEAVES + ["seed", "shots", "zeta"]))
+            if key in ("seed", "shots", "zeta"):       # argparse shorthands
+                faults.append(("--" + key, draw(st.sampled_from(["abc", "[1]", "1.5x"]))))
+            else:
+                faults.append(("--" + key, json.dumps(draw(_wrong_value(key)))))
+        elif kind == "out of range":
+            faults.append(draw(st.sampled_from(OUT_OF_RANGE[command])))
+        elif kind == "bad config":
+            faults.append(("--config", draw(bad_config(root, f"config{i}.json"))))
+        elif kind == "out is a file":
+            faults.append(("--out", valid_inputs["--graph"]))
+        else:
+            flag = draw(st.sampled_from(INPUT_FLAGS[command]))
+            faults.append((flag, draw(bad_file(root, f"input{i}"))))
+    units = _valid_units(command, root, valid_inputs, faults)
+    if all(unit[0] != "--config" for unit in faults) and draw(st.booleans()):
+        # A valid config file: some sections, each holding a few of its defaults.
+        sections = draw(st.lists(st.sampled_from(sorted(k for k, v in DEFAULT_CONFIG.items()
+                                                        if isinstance(v, dict))),
+                                 max_size=3, unique=True))
+        (root / "valid.json").write_text(json.dumps(
+            {s: dict(list(DEFAULT_CONFIG[s].items())[:2]) for s in sections}), encoding="utf-8")
+        units.append(("--config", str(root / "valid.json")))
+    ordered = draw(st.permutations(units + faults))
+    return [command, *(token for unit in ordered for token in unit)]
+
+
+def _valid_units(command, root, valid_inputs, faults):
+    """The valid (flag, value) units of ``command`` that no fault replaces."""
+    flagged = {unit[0] for unit in faults}
+    units = [("--out", str(root / "out")),
+             *[(flag, valid_inputs[flag]) for flag in INPUT_FLAGS[command]],
+             *zip(SMALL[::2], SMALL[1::2]), *BASE_UNITS[command]]
+    return [unit for unit in units if unit[0] not in flagged]
+
+
+def _assert_json_error(code, stderr):
+    assert code in (EXIT_USAGE, EXIT_VALIDATION), (code, stderr)
+    error = json.loads(stderr.strip().splitlines()[-1])
+    assert error["code"] == code and error["error"]
+
+
+class TestMainNeverRaises:
+    @pytest.fixture(scope="class")
+    def inputs(self, workdir, corpus, checkpoint):
+        return {"--graph": str(workdir / "graph.tsv"), "--pairs": str(corpus),
+                "--checkpoint": str(checkpoint), "--labels": str(workdir / "labels.json")}
+
+    @pytest.fixture(scope="class")
+    def scratch(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("faults")
+
+    def test_covers_every_command(self):
+        assert sorted(BASE_UNITS) == sorted(INPUT_FLAGS) == sorted(OUT_OF_RANGE) == sorted(COMMANDS)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(data=st.data())
+    def test_faulty_command_lines_exit_2_or_3_with_json(self, inputs, scratch, data):
+        command = data.draw(st.sampled_from(sorted(BASE_UNITS)), label="command")
+        argv = data.draw(faulty_argv(command, scratch, inputs), label="argv")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        _assert_json_error(code, err.getvalue())
+
+    @pytest.mark.parametrize("command, fault", [
+        (command, fault) for command, faults in OUT_OF_RANGE.items() for fault in faults])
+    def test_each_out_of_range_value_is_rejected(self, inputs, scratch, command, fault, capsys):
+        units = _valid_units(command, scratch, inputs, [fault]) + [fault]
+        code = main([command, *(token for unit in units for token in unit)])
+        _assert_json_error(code, capsys.readouterr().err)

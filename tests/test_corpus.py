@@ -485,6 +485,34 @@ class TestHttpClient:
             assert out == "echo:toy-model:11"
         finally:
             server.shutdown()
+            server.server_close()
+
+    def test_injected_session_needs_no_requests(self):
+        script = """
+import sys
+from tagsum.corpus import HttpLlmClient, LlmClientConfig
+
+class Response:
+    def raise_for_status(self):
+        pass
+
+    def json(self):
+        return {"choices": [{"message": {"content": "stub reply"}}]}
+
+class Session:
+    def post(self, url, json, headers, timeout):
+        return Response()
+
+client = HttpLlmClient(LlmClientConfig(endpoint="http://stub.invalid/v1/chat"),
+                       session=Session())
+assert client.complete("hello") == "stub reply"
+print("requests" in sys.modules)
+"""
+        src = str(Path(tagsum.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", script], timeout=120,
+                              env={**os.environ, "PYTHONPATH": src}, capture_output=True)
+        assert done.returncode == 0, done.stderr.decode()
+        assert done.stdout.decode().strip() == "False"
 
     def test_requires_endpoint(self):
         with pytest.raises(ValidationError):

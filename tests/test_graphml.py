@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tagsum import graphml
 from tagsum.errors import ParseError, TagsumError, ValidationError
 from tagsum.graphml import (
     ACADEMIC_SCHEMA,
@@ -124,6 +125,25 @@ class TestParseAnyText:
             parse_graphml(doc)
         except TagsumError:
             pass
+
+
+# Any character, surrogates included, mixed with the escaped characters,
+# quotes and entity-like runs.
+ESCAPE_TEXT = st.lists(
+    st.characters() | st.sampled_from(["&", "<", ">", '"', "'", "&amp;", "&lt;", "&#38;", ";"]),
+    max_size=40,
+).map("".join)
+
+
+class TestEscape:
+    @settings(max_examples=500, deadline=None)
+    @given(ESCAPE_TEXT)
+    @example("\ud800&amp;<\udfff>")
+    @example("&&amp;amp;'\"")
+    def test_matches_saxutils(self, text):
+        from xml.sax import saxutils
+
+        assert graphml.escape(text) == saxutils.escape(text)
 
 
 class TestRoundTrip:

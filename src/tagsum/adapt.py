@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .atomic import replacing
+from .atomic import write_text
 from .autodiff import Tensor
 from .encoder import GraphEncoderConfig, ParamStore, embed_batch, encode_batch, subgraph_batch
 from .errors import ValidationError
@@ -42,7 +42,7 @@ from .graphs import SamplerConfig, TextAttributedGraph, rwr_batch
 from .losses import supervised_contrastive_loss_tensor
 from .pretrain import AdamW, OptimizerConfig
 from .prompts import render_label_sentence
-from .textenc import Embedding
+from .textenc import Embedding, _row_dots
 
 _MASK32 = (1 << 32) - 1
 # Subgraphs encoded per inference batch. Evaluation streams the chunks, so a
@@ -83,8 +83,7 @@ def build_label_prompts(
         render_label_sentence(template, name, desc)
         for name, desc in zip(class_names, descriptions)
     )
-    embeddings = np.vstack([text_encoder.encode(s).vector for s in sentences])
-    return LabelPromptSet(tuple(class_names), sentences, embeddings)
+    return LabelPromptSet(tuple(class_names), sentences, text_encoder.encode_texts(sentences))
 
 
 def load_label_prompt_asset(path, text_encoder) -> LabelPromptSet:
@@ -125,9 +124,7 @@ def save_label_prompt_asset(path, template: str, class_names, descriptions) -> N
             for i, (name, desc) in enumerate(zip(class_names, descriptions))
         ],
     }
-    with replacing(path) as temp, open(temp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+    write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
 def prompt_index_map(graph: TextAttributedGraph, labels: LabelPromptSet) -> np.ndarray:
@@ -197,12 +194,6 @@ def _embed(store: ParamStore, config: GraphEncoderConfig, batches,
     """Embeddings (nodes, d) of every subgraph in ``batches``, with no tape."""
     return np.concatenate([embed_batch(store, config, batch, feature_offset)
                            for batch in batches])
-
-
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a[i] @ b[i] for every row, as one stacked matmul: each row is the
-    same BLAS dot as the 1-D ``a[i] @ b[i]``, so it matches bit for bit."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def _label_scores(embeddings: np.ndarray, labels: LabelPromptSet) -> np.ndarray:
@@ -394,9 +385,7 @@ class PromptVector:
         object.__setattr__(self, "values", vec)
 
     def save(self, path) -> None:
-        with replacing(path) as temp, open(temp, "w", encoding="utf-8") as handle:
-            json.dump({"values": self.values.tolist()}, handle)
-            handle.write("\n")
+        write_text(path, json.dumps({"values": self.values.tolist()}) + "\n")
 
 
 @dataclass(frozen=True)

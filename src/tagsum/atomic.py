@@ -25,3 +25,9 @@ def replacing(path):
     except BaseException:
         temp.unlink(missing_ok=True)
         raise
+
+
+def write_text(path, text: str) -> None:
+    """Replace ``path`` with ``text`` in UTF-8, atomically (see ``replacing``)."""
+    with replacing(path) as temp:
+        temp.write_text(text, encoding="utf-8")

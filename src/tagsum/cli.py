@@ -26,7 +26,7 @@ from .adapt import (
     make_few_shot_split,
     prompt_tune,
 )
-from .atomic import replacing
+from .atomic import replacing, write_text
 from .encoder import (
     GraphEncoderConfig,
     load_checkpoint,
@@ -234,9 +234,8 @@ class RunDir:
         self.path.mkdir(parents=True, exist_ok=True)
         self.config = config
         self.inputs: dict[str, str] = {}
-        with replacing(self.path / "resolved_config.json") as temp:
-            temp.write_text(json.dumps(config, indent=2, sort_keys=True) + "\n",
-                            encoding="utf-8")
+        write_text(self.path / "resolved_config.json",
+                   json.dumps(config, indent=2, sort_keys=True) + "\n")
 
     def record_input(self, path) -> Path:
         path = Path(path)
@@ -244,9 +243,8 @@ class RunDir:
         return path
 
     def finish(self) -> None:
-        with replacing(self.path / "manifest.json") as temp:
-            temp.write_text(json.dumps({"inputs": self.inputs}, indent=2, sort_keys=True)
-                            + "\n", encoding="utf-8")
+        write_text(self.path / "manifest.json",
+                   json.dumps({"inputs": self.inputs}, indent=2, sort_keys=True) + "\n")
 
 
 def _encoder_config(cfg: dict) -> GraphEncoderConfig:
@@ -306,7 +304,7 @@ def cmd_sample(cfg: dict, run: RunDir) -> int:
     documents = corpus_mod.subgraph_documents(graph, schema, seeds, walks,
                                               cfg["corpus"]["truncate_chars"])
     for seed, (_, doc) in zip(seeds, documents):
-        (out / f"seed{seed}.graphml").write_text(doc, encoding="utf-8")
+        write_text(out / f"seed{seed}.graphml", doc)
     print(f"wrote {len(seeds)} subgraph documents to {out}")
     return EXIT_OK
 
@@ -336,11 +334,13 @@ def cmd_gen_corpus(cfg: dict, run: RunDir) -> int:
 
 
 def cmd_pretrain(cfg: dict, run: RunDir) -> int:
+    p = cfg["pretrain"]
+    if p["epochs"] < 1:                        # the library allows 0: a checkpoint of the init
+        raise ValidationError(f"pretrain.epochs must be >= 1, got {p['epochs']}")
     graph = load_graph(run.record_input(_require_path(cfg, "graph")))
     pairs = corpus_mod.read_pairs(run.record_input(_require_path(cfg, "pairs")))
     text_encoder = _text_encoder(cfg)
     graph = attach_features(graph, text_encoder)
-    p = cfg["pretrain"]
     pert = None
     if p["epsilon"] != 0:                      # a negative or NaN epsilon fails the state's check
         pert = PerturbationState(epsilon=p["epsilon"], norm_p=float(p["norm_p"]),
@@ -353,8 +353,7 @@ def cmd_pretrain(cfg: dict, run: RunDir) -> int:
         temperature=p["temperature"], sampler_cfg=_sampler_config(cfg),
         out_dir=run.path, checkpoint_every=p["checkpoint_every"],
     )
-    final = result.metrics[-1]["loss"] if result.metrics else float("nan")
-    print(f"checkpoint: {result.checkpoint_path}  final loss: {final:.6f}")
+    print(f"checkpoint: {result.checkpoint_path}  final loss: {result.metrics[-1]['loss']:.6f}")
     return EXIT_OK
 
 
@@ -461,7 +460,7 @@ def cmd_theory(cfg: dict, run: RunDir) -> int:
         truncation_radius=t["truncation_radius"],
     )
     text = proposition.to_text() + "\n\n" + theorem.to_text() + "\n"
-    (run.path / "theory_report.txt").write_text(text, encoding="utf-8")
+    write_text(run.path / "theory_report.txt", text)
     print(text, end="")
     if not (proposition.passed and theorem.passed):
         return EXIT_GATE
@@ -473,7 +472,7 @@ def cmd_grad_check(cfg: dict, run: RunDir) -> int:
     report = run_grad_check(trials=g["trials"], seed=cfg["seed"],
                             step=g["step"], tolerance=g["tolerance"])
     text = report.to_text() + "\n"
-    (run.path / "gradcheck_report.txt").write_text(text, encoding="utf-8")
+    write_text(run.path / "gradcheck_report.txt", text)
     print(text, end="")
     return EXIT_OK if report.passed else EXIT_GATE
 
@@ -554,7 +553,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except NonFiniteLossError as exc:
         dump_path = Path(config["out_dir"]) / "nonfinite_dump.json"
-        dump_path.write_text(json.dumps(exc.dump, indent=2) + "\n", encoding="utf-8")
+        write_text(dump_path, json.dumps(exc.dump, indent=2) + "\n")
         print(json.dumps({"error": str(exc), "code": EXIT_VALIDATION,
                           "dump": str(dump_path)}), file=sys.stderr)
         return EXIT_VALIDATION

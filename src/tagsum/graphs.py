@@ -18,12 +18,14 @@ distinct labels; per-node label ids index into that list (-1 = unlabeled).
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
+from .atomic import write_text
 from .errors import ParseError, ValidationError
 
 _MASK64 = (1 << 64) - 1
@@ -35,6 +37,42 @@ def _freeze(array: np.ndarray | None) -> np.ndarray | None:
     if array is not None:
         array.flags.writeable = False
     return array
+
+
+def _edge_ends(edges) -> np.ndarray:
+    """The ends of a list of (u, v) pairs as an (E, 2) array: int64, or
+    Python ints in an object array when some end does not fit in int64."""
+    if set(map(len, edges)) - {2}:
+        raise ValidationError("every edge must be a (u, v) pair")
+    try:
+        flat = np.fromiter(itertools.chain.from_iterable(edges), dtype=np.int64,
+                           count=2 * len(edges))
+    except OverflowError:
+        flat = np.array(list(map(int, itertools.chain.from_iterable(edges))), dtype=object)
+    return flat.reshape(-1, 2)
+
+
+def _check_edges(num_nodes: int, edges) -> None:
+    """Raise for the first edge, in list order, that is a self-loop, leaves
+    the node range, is not stored as u < v, or repeats an earlier edge."""
+    ends = _edge_ends(edges)
+    u, v = ends[:, 0], ends[:, 1]
+    loop, flipped = u == v, u > v
+    outside = ((ends < 0) | (ends >= num_nodes)).any(axis=1)
+    # Keys of out-of-range edges may collide, but such an edge fails first.
+    keys = np.where(outside, -1, u * num_nodes + v).astype(np.int64)
+    repeat = np.ones(len(keys), dtype=bool)
+    repeat[np.unique(keys, return_index=True)[1]] = False      # first occurrences
+    failing = loop | outside | flipped | repeat
+    if not failing.any():
+        return
+    i = int(np.argmax(failing))
+    u, v = edges[i]
+    raise ValidationError(
+        f"self-loop on node {u}" if loop[i] else
+        f"edge ({u}, {v}) references a node out of range" if outside[i] else
+        f"edge ({u}, {v}) not stored in canonical (u < v) order" if flipped[i] else
+        f"duplicate edge ({u}, {v})")
 
 
 @dataclass(frozen=True)
@@ -56,17 +94,7 @@ class TextAttributedGraph:
             raise ValidationError(
                 f"raw_text has {len(self.raw_text)} entries for {self.num_nodes} nodes"
             )
-        seen = set()
-        for u, v in self.edges:
-            if u == v:
-                raise ValidationError(f"self-loop on node {u}")
-            if not (0 <= u < self.num_nodes and 0 <= v < self.num_nodes):
-                raise ValidationError(f"edge ({u}, {v}) references a node out of range")
-            if u > v:
-                raise ValidationError(f"edge ({u}, {v}) not stored in canonical (u < v) order")
-            if (u, v) in seen:
-                raise ValidationError(f"duplicate edge ({u}, {v})")
-            seen.add((u, v))
+        _check_edges(self.num_nodes, self.edges)
         if self.features is not None:
             if self.features.ndim != 2 or self.features.shape[0] != self.num_nodes:
                 raise ValidationError(
@@ -82,17 +110,23 @@ class TextAttributedGraph:
     def from_edges(cls, num_nodes, edges, raw_text, **kwargs) -> "TextAttributedGraph":
         """Build a graph from an arbitrary edge list: dedups, drops self-loops,
         canonicalizes orientation, and sorts."""
-        canonical = set()
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if u == v:
-                continue
-            if not (0 <= u < num_nodes and 0 <= v < num_nodes):
-                raise ValidationError(f"edge ({u}, {v}) references a node out of range")
-            canonical.add((min(u, v), max(u, v)))
+        edges = edges if isinstance(edges, (list, tuple)) else list(edges)
+        ends = _edge_ends(edges)
+        kept = ends[ends[:, 0] != ends[:, 1]]
+        outside = ((kept < 0) | (kept >= num_nodes)).any(axis=1)
+        if outside.any():
+            u, v = kept[np.argmax(outside)].tolist()
+            raise ValidationError(f"edge ({u}, {v}) references a node out of range")
+        keys = kept.min(axis=1) * num_nodes + kept.max(axis=1)
+        # Reuse the input's pairs when already canonical: no second tuple per edge.
+        if not (len(kept) == len(edges) and np.all(kept[:, 0] < kept[:, 1])
+                and np.all(keys[1:] > keys[:-1]) and set(map(type, edges)) <= {tuple}
+                and set(map(type, itertools.chain.from_iterable(edges))) <= {int}):
+            keys = np.unique(keys)
+            edges = zip((keys // num_nodes).tolist(), (keys % num_nodes).tolist())
         return cls(
             num_nodes=num_nodes,
-            edges=tuple(sorted(canonical)),
+            edges=tuple(edges),
             raw_text=tuple(raw_text),
             **kwargs,
         )
@@ -101,7 +135,7 @@ class TextAttributedGraph:
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         """Neighbor lists in compressed rows ``(indptr, indices)``: node v's
         sorted neighbors are ``indices[indptr[v]:indptr[v + 1]]``."""
-        ends = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+        ends = _edge_ends(self.edges)
         src = np.concatenate([ends[:, 0], ends[:, 1]])
         dst = np.concatenate([ends[:, 1], ends[:, 0]])
         indptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
@@ -266,19 +300,23 @@ def load_graph(path) -> TextAttributedGraph:
     )
 
 
+# The field separator and every character that ``str.splitlines`` breaks on.
+_FLATTEN = str.maketrans(dict.fromkeys("\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029", " "))
+
+
 def save_graph(graph: TextAttributedGraph, path) -> None:
-    """Write a graph in the edge-list-with-text format."""
+    """Write a graph in the edge-list-with-text format. Tabs and line breaks
+    in node texts become spaces, so the file loads back."""
     path = Path(path)
     lines = [str(graph.num_nodes)]
     for i in range(graph.num_nodes):
         label = "-"
         if graph.labels is not None and graph.labels[i] >= 0 and graph.class_names:
             label = graph.class_names[int(graph.labels[i])]
-        text = graph.raw_text[i].replace("\t", " ").replace("\n", " ")
-        lines.append(f"{i}\t{label}\t{text}")
+        lines.append(f"{i}\t{label}\t{graph.raw_text[i].translate(_FLATTEN)}")
     for u, v in graph.edges:
         lines.append(f"{u}\t{v}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and the
@@ -295,22 +333,12 @@ _JUMP_MULT = pow(_PCG_MULT, _UNIFORM_BLOCK, 1 << 128)
 _JUMP_ADD = sum(pow(_PCG_MULT, k, 1 << 128) for k in range(_UNIFORM_BLOCK)) & _MASK128
 
 
-def _seed_pools(rng_seeds, nodes) -> np.ndarray:
-    """(W, 4) uint32: row i equals ``SeedSequence([rng_seeds[i] & _MASK64,
-    nodes[i]]).pool``, computed for all rows at once.
-
-    The entropy words are the seed's one or two 32-bit words, then the
-    node's one (nodes are below 2^32). That is at most 3 words, fewer than
-    the pool, so numpy pads with zeros exactly as the rows here do.
-    """
-    seeds = np.array([int(s) & _MASK64 for s in rng_seeds], dtype=np.uint64)
-    nodes = np.asarray(nodes, dtype=np.uint64).astype(np.uint32)
-    high = (seeds >> np.uint64(32)).astype(np.uint32)
-    wide = high != 0
-    entropy = np.zeros((_POOL_SIZE, seeds.size), dtype=np.uint32)
-    entropy[0] = seeds.astype(np.uint32)
-    entropy[1] = np.where(wide, high, nodes)
-    entropy[2] = np.where(wide, nodes, 0)
+def _seed_pools(entropy: np.ndarray) -> np.ndarray:
+    """(W, 4) uint32: row i equals ``SeedSequence(entropy[i]).pool`` for the
+    (W, k <= 4) uint32 words ``entropy``, all rows at once. numpy pads short
+    entropy with zeros, as here, so trailing zero words change no pool."""
+    words = np.zeros((_POOL_SIZE, len(entropy)), dtype=np.uint32)
+    words[:entropy.shape[1]] = entropy.T
     hash_const = _INIT_A
 
     def hashmix(value):
@@ -321,13 +349,24 @@ def _seed_pools(rng_seeds, nodes) -> np.ndarray:
         return value ^ (value >> _XSHIFT)
 
     with np.errstate(over="ignore"):
-        mixer = [hashmix(word) for word in entropy]
+        mixer = [hashmix(word) for word in words]
         for i_src in range(_POOL_SIZE):
             for i_dst in range(_POOL_SIZE):
                 if i_src != i_dst:
                     mixed = _MIX_MULT_L * mixer[i_dst] - _MIX_MULT_R * hashmix(mixer[i_src])
                     mixer[i_dst] = mixed ^ (mixed >> _XSHIFT)
     return np.stack(mixer, axis=1)
+
+
+def _walker_entropy(rng_seeds, nodes) -> np.ndarray:
+    """(W, 3) uint32 entropy of ``SeedSequence([rng_seeds[i] & _MASK64, nodes[i]])``:
+    the seed's one or two 32-bit words, the node's one (< 2^32), zero padding."""
+    seeds = np.array([int(s) & _MASK64 for s in rng_seeds], dtype=np.uint64)
+    nodes = np.asarray(nodes, dtype=np.uint64).astype(np.uint32)
+    high = (seeds >> np.uint64(32)).astype(np.uint32)
+    wide = high != 0
+    return np.stack([seeds.astype(np.uint32), np.where(wide, high, nodes),
+                     np.where(wide, nodes, 0).astype(np.uint32)], axis=1)
 
 
 def _pcg64_states(pools: np.ndarray) -> np.ndarray:
@@ -368,7 +407,7 @@ class _Streams:
     """
 
     def __init__(self, rng_seeds, nodes):
-        self._states = _pcg64_states(_seed_pools(rng_seeds, nodes))
+        self._states = _pcg64_states(_seed_pools(_walker_entropy(rng_seeds, nodes)))
         self._block = np.empty((len(self._states), _UNIFORM_BLOCK))
         self._used = np.full(len(self._states), _UNIFORM_BLOCK)
         self._rng = np.random.Generator(np.random.PCG64())

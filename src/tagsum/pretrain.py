@@ -305,7 +305,7 @@ def pretrain(
         for gid, g in graphs.items()
     }
     subgraphs = materialize_subgraphs(pairs, graphs, sampler_cfg, graph_config)
-    summary_matrix = np.vstack([text_encoder.encode(p.summary).vector for p in pairs])
+    summary_matrix = text_encoder.encode_texts([p.summary for p in pairs])
 
     store = ParamStore.initialize(graph_config, seed=seed)
     optimizer = AdamW(store.tensors, optimizer_config)

@@ -1,11 +1,14 @@
 """Frozen sentence-level text encoders.
 
-Two interchangeable implementations sit behind the same interface:
+Two interchangeable implementations sit behind the same interface, whose
+one path is ``encode_texts(texts)``, an (n, dim) array of unit rows;
+``encode(text)`` is a batch of one.
 
 * ``HashTextEncoder`` — deterministic bag-of-token hashing. Each token's
-  vector is drawn from a PRNG seeded by the token's SHA-256 digest, so the
-  embedding of a text is a pure function of its tokens on any platform.
-  Used for tests and desk-scale runs.
+  vector is drawn from a PCG64 seeded by the token's SHA-256 digest, so the
+  embedding of a text is a pure function of its tokens on any platform. A
+  batch seeds its new tokens in one vectorized pass and adds each row's
+  token vectors in text order. Used for tests and desk-scale runs.
 * ``TableTextEncoder`` — a closed lookup table of precomputed embeddings
   keyed by the SHA-256 of the exact text. Unknown text is an error, never a
   silent fallback.
@@ -19,13 +22,16 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import replacing
 from .errors import ParseError, ValidationError, parse_json_object
-from .graphs import TextAttributedGraph
+from .graphs import TextAttributedGraph, _pcg64_states, _seed_pools
 
 
 @dataclass(frozen=True)
@@ -52,11 +58,18 @@ def _text_sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _normalize(vec: np.ndarray) -> Embedding:
-    norm = np.linalg.norm(vec)
-    if norm == 0.0:
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[i] @ b[i] for every row, as one stacked matmul: each row is the
+    same BLAS dot as the 1-D ``a[i] @ b[i]``, so it matches bit for bit."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _unit_rows(matrix: np.ndarray) -> np.ndarray:
+    """Each row over its L2 norm, ``sqrt(x @ x)`` as ``np.linalg.norm`` takes it."""
+    norms = np.sqrt(_row_dots(matrix, matrix))
+    if np.any(norms == 0.0):
         raise ValidationError("cannot normalize a zero embedding")
-    return Embedding(vector=vec / norm, normalized=True)
+    return matrix / norms[:, None]
 
 
 class HashTextEncoder:
@@ -66,29 +79,58 @@ class HashTextEncoder:
         if dim < 1:
             raise ValidationError("dim must be >= 1")
         self.dim = dim
-        self._token_cache: dict[str, np.ndarray] = {}
+        # Token -> its row of ``_vectors`` (first-seen order); rows from ``_seeded`` on are unset.
+        self._token_ids: dict[str, int] = {}
+        self._vectors = np.empty((0, dim))
+        self._seeded = 0
+        self._rng = np.random.Generator(np.random.PCG64())
 
-    def _token_vector(self, token: str) -> np.ndarray:
-        cached = self._token_cache.get(token)
-        if cached is not None:
-            return cached
-        digest = hashlib.sha256(token.encode("utf-8")).digest()
-        seed = int.from_bytes(digest[:8], "little")
-        rng = np.random.Generator(np.random.PCG64(seed))
-        vec = rng.standard_normal(self.dim)
-        vec.flags.writeable = False
-        self._token_cache[token] = vec
-        return vec
+    def _seed_new_tokens(self) -> None:
+        """Draw ``Generator(PCG64(seed)).standard_normal(dim)`` for each token
+        past ``_seeded``, its seed from its SHA-256: all PCG64 states at once,
+        then one shared generator set to each in turn."""
+        new = list(itertools.islice(self._token_ids, self._seeded, None))
+        seeds = b"".join(hashlib.sha256(token.encode("utf-8")).digest()[:8] for token in new)
+        # SeedSequence(seed) takes a 64-bit seed as its low and high 32-bit words.
+        states = _pcg64_states(_seed_pools(np.frombuffer(seeds, dtype="<u4").reshape(-1, 2)))
+        if len(self._token_ids) > len(self._vectors):   # doubling keeps one-text calls cheap
+            self._vectors = np.resize(self._vectors, (
+                max(len(self._token_ids), 2 * len(self._vectors)), self.dim))
+        setting = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
+        for row, (high, low, inc_high, inc_low) in zip(self._vectors[self._seeded:],
+                                                       states.tolist()):
+            setting["state"] = {"state": (high << 64) | low, "inc": (inc_high << 64) | inc_low}
+            self._rng.bit_generator.state = setting
+            self._rng.standard_normal(out=row)
+        self._seeded = len(self._token_ids)
+
+    def encode_texts(self, texts) -> np.ndarray:
+        """(len(texts), dim): each text's mean whitespace-token vector, added
+        in text order, as a unit row. The first empty text raises."""
+        index = self._token_ids
+        ids, lengths = array("q"), array("q")
+        try:
+            for text in texts:
+                tokens = text.split()
+                if not tokens:
+                    self._seed_new_tokens()    # so an earlier text's bad token raises first
+                    raise ValidationError("cannot encode empty text")
+                ids.extend([index.setdefault(token, len(index)) for token in tokens])
+                lengths.append(len(tokens))
+            self._seed_new_tokens()
+        except BaseException:                  # forget the tokens that have no vector
+            self._token_ids = dict(itertools.islice(index.items(), self._seeded))
+            raise
+        ids, lengths = np.frombuffer(ids, dtype=np.int64), np.frombuffer(lengths, dtype=np.int64)
+        starts = np.cumsum(lengths) - lengths
+        sums = np.zeros((len(lengths), self.dim))
+        for k in range(lengths.max(initial=0)):
+            rows = np.flatnonzero(lengths > k)
+            sums[rows] += self._vectors[ids[starts[rows] + k]]
+        return _unit_rows(sums / lengths[:, None])
 
     def encode(self, text: str) -> Embedding:
-        tokens = text.split()
-        if not tokens:
-            raise ValidationError("cannot encode empty text")
-        mean = np.zeros(self.dim)
-        for token in tokens:
-            mean += self._token_vector(token)
-        mean /= len(tokens)
-        return _normalize(mean)
+        return Embedding(self.encode_texts([text])[0])
 
     def state_checksum(self) -> str:
         # The encoder has no trainable state; its identity is (impl, dim).
@@ -157,19 +199,23 @@ class TableTextEncoder:
         return cls(table, dim)
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
+        with replacing(path) as temp, open(temp, "w", encoding="utf-8") as handle:
             for key in sorted(self._table):
                 handle.write(json.dumps(
                     {"sha256": key, "vector": self._table[key].tolist()}) + "\n")
 
-    def encode(self, text: str) -> Embedding:
-        key = _text_sha256(text)
-        vec = self._table.get(key)
-        if vec is None:
+    def encode_texts(self, texts) -> np.ndarray:
+        """(len(texts), dim) unit rows, one table lookup per text. The first
+        text not in the table raises."""
+        keys = [_text_sha256(text) for text in texts]
+        missing = next((key for key in keys if key not in self._table), None)
+        if missing is not None:
             raise ValidationError(
-                f"text not present in embedding table (sha256 {key[:12]}...)"
-            )
-        return _normalize(np.array(vec))
+                f"text not present in embedding table (sha256 {missing[:12]}...)")
+        return _unit_rows(np.array([self._table[key] for key in keys]).reshape(-1, self.dim))
+
+    def encode(self, text: str) -> Embedding:
+        return Embedding(self.encode_texts([text])[0])
 
     def state_checksum(self) -> str:
         digest = hashlib.sha256()
@@ -181,6 +227,4 @@ class TableTextEncoder:
 
 def attach_features(graph: TextAttributedGraph, encoder) -> TextAttributedGraph:
     """Return a copy of the graph whose features are the encoded node texts."""
-    rows = [encoder.encode(text).vector for text in graph.raw_text]
-    features = np.vstack(rows) if rows else np.zeros((0, encoder.dim))
-    return dataclasses.replace(graph, features=features)
+    return dataclasses.replace(graph, features=encoder.encode_texts(graph.raw_text))

@@ -266,11 +266,13 @@ def verify_theorem_bound(
     """For every (t, classifier) grid point, check that the largest risk gap
     across the scaling domains is covered by constant * ||c|| * worst-case
     alignment discrepancy, allowing 3 combined standard errors."""
-    if not (len(rep_grid) and len(classifier_grid) and len(scales)):
-        raise ValidationError("the t grid, the classifier grid and the scales must be nonempty")
+    if not (len(rep_grid) and len(classifier_grid)):
+        raise ValidationError("the t grid and the classifier grid must be nonempty")
     if any(len(c) != 2 for c in classifier_grid):
         raise ValidationError("each classifier is a (weight, threshold) pair")
     scales = tuple(float(m) for m in scales)
+    if len(set(scales)) < 2:            # one domain's risk gap is 0 by construction
+        raise ValidationError(f"need at least two distinct scales, got {list(scales)}")
     reps = [
         LinearRep(t=float(t), weight=float(w), threshold=float(b))
         for t in rep_grid

@@ -5,6 +5,7 @@ with ``query_major_mixing``, the encoder's attention sublayer before it went
 key-major.
 """
 
+import hashlib
 import itertools
 import json
 from xml.sax.saxutils import escape
@@ -12,6 +13,7 @@ from xml.sax.saxutils import escape
 import numpy as np
 
 from tagsum.corpus import split_node_text
+from tagsum.errors import ValidationError
 from tagsum.graphs import TextAttributedGraph, induced_subgraph, rwr_batch
 from tagsum.prompts import render_summary_prompt
 
@@ -40,6 +42,59 @@ def rwr_walk(
     """Positions visited after each of ``num_steps`` transitions from the seed."""
     walk = _walk(graph.neighbors, seed_node, restart_prob, rng.random)
     return np.fromiter(itertools.islice(walk, num_steps), dtype=np.int64, count=num_steps)
+
+
+def loop_check_edges(num_nodes: int, edges) -> None:
+    """``TextAttributedGraph``'s edge check one edge at a time: raises for
+    the first self-loop, out-of-range, non-canonical or repeated edge."""
+    seen = set()
+    for u, v in edges:
+        if u == v:
+            raise ValidationError(f"self-loop on node {u}")
+        if not (0 <= u < num_nodes and 0 <= v < num_nodes):
+            raise ValidationError(f"edge ({u}, {v}) references a node out of range")
+        if u > v:
+            raise ValidationError(f"edge ({u}, {v}) not stored in canonical (u < v) order")
+        if (u, v) in seen:
+            raise ValidationError(f"duplicate edge ({u}, {v})")
+        seen.add((u, v))
+
+
+def loop_canonical_edges(num_nodes: int, edges) -> tuple:
+    """``TextAttributedGraph.from_edges``'s edge tuple one edge at a time:
+    self-loops dropped, pairs as (min, max), deduplicated and sorted."""
+    canonical = set()
+    for u, v in edges:
+        u, v = int(u), int(v)
+        if u == v:
+            continue
+        if not (0 <= u < num_nodes and 0 <= v < num_nodes):
+            raise ValidationError(f"edge ({u}, {v}) references a node out of range")
+        canonical.add((min(u, v), max(u, v)))
+    return tuple(sorted(canonical))
+
+
+def token_vector(token: str, dim: int) -> np.ndarray:
+    """A hash-encoder token's vector from a generator of its own."""
+    seed = int.from_bytes(hashlib.sha256(token.encode("utf-8")).digest()[:8], "little")
+    return np.random.Generator(np.random.PCG64(seed)).standard_normal(dim)
+
+
+def loop_encode(text: str, dim: int) -> np.ndarray:
+    """``HashTextEncoder``'s embedding of one text: the token vectors added
+    in text order into zeros, divided by the token count, then by the
+    vector's norm."""
+    tokens = text.split()
+    if not tokens:
+        raise ValidationError("cannot encode empty text")
+    mean = np.zeros(dim)
+    for token in tokens:
+        mean += token_vector(token, dim)
+    mean /= len(tokens)
+    norm = np.linalg.norm(mean)
+    if norm == 0.0:
+        raise ValidationError("cannot normalize a zero embedding")
+    return mean / norm
 
 
 def loop_synthetic_edges(num_nodes: int, labels, rng: np.random.Generator,

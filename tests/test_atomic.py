@@ -12,7 +12,9 @@ import pytest
 from tagsum.adapt import PromptVector, save_label_prompt_asset
 from tagsum.atomic import replacing
 from tagsum.encoder import GraphEncoderConfig, ParamStore, save_checkpoint
+from tagsum.graphs import TextAttributedGraph, save_graph
 from tagsum.pretrain import write_metrics_csv
+from tagsum.textenc import TableTextEncoder
 
 CFG = GraphEncoderConfig(layers=1, hidden=8, heads=2, positional_dim=3, text_dim=6)
 
@@ -104,4 +106,23 @@ class TestArtifactWriters:
         with pytest.raises(OSError), file_size_limit(64):
             save_label_prompt_asset(path, "{name}: {description}", ["a", "b", "c"],
                                     ["first class", "second class", "third class"])
+        assert_untouched(path, before)
+
+    def test_graph_file_failing_midway_keeps_the_previous_one(self, tmp_path):
+        path = tmp_path / "graph.tsv"
+        save_graph(TextAttributedGraph.from_edges(2, [(0, 1)], ["a", "b"]), path)
+        before = path.read_bytes()
+        longer = TextAttributedGraph.from_edges(3, [(0, 1), (1, 2)], ["a longer text"] * 3)
+        with pytest.raises(OSError), file_size_limit(len(before) + 8):
+            save_graph(longer, path)
+        assert_untouched(path, before)
+
+    def test_embedding_table_failing_midway_keeps_the_previous_one(self, tmp_path):
+        path = tmp_path / "table.jsonl"
+        TableTextEncoder.build(["a"], [[1.0, 0.0]]).save(path)
+        before = path.read_bytes()
+        # Each record is about as long as the old file, so the second one fails.
+        bigger = TableTextEncoder.build([f"t{i}" for i in range(4)], np.eye(4))
+        with pytest.raises(OSError), file_size_limit(len(before) + 8):
+            bigger.save(path)
         assert_untouched(path, before)

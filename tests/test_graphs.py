@@ -14,6 +14,7 @@ from tagsum.graphs import (
     TextAttributedGraph,
     _pcg64_states,
     _seed_pools,
+    _walker_entropy,
     induced_edges,
     load_graph,
     rwr_batch,
@@ -24,7 +25,7 @@ from tagsum.graphs import (
 )
 from tagsum.synthetic import make_synthetic_tag
 
-from reference import loop_synthetic_edges, rwr_walk
+from reference import loop_canonical_edges, loop_check_edges, loop_synthetic_edges, rwr_walk
 
 
 def write_graph_file(tmp_path, body):
@@ -84,6 +85,32 @@ class TestLoadGraph:
         assert loaded.raw_text == tiny_graph.raw_text
 
 
+# The field separator and every character on which ``str.splitlines`` splits.
+BREAKS = ["\t"] + [c for c in map(chr, range(0x10000)) if len(f"a{c}b".splitlines()) > 1]
+
+
+def flattened(text: str) -> str:
+    return "".join(" " if c in BREAKS else c for c in text)
+
+
+class TestSaveGraphRoundTrip:
+    def test_line_separator_in_text(self, tmp_path):
+        graph = TextAttributedGraph.from_edges(2, [(0, 1)], ["left\u2028right", "a\rb\x0cc"])
+        save_graph(graph, tmp_path / "g.tsv")
+        assert load_graph(tmp_path / "g.tsv").raw_text == ("left right", "a b c")
+
+    @settings(max_examples=200, deadline=None)
+    @given(texts=st.lists(st.text(st.characters(blacklist_categories=("Cs",))
+                                  | st.sampled_from(BREAKS)), min_size=1, max_size=4))
+    def test_any_texts_load_back_flattened(self, tmp_path_factory, texts):
+        path = tmp_path_factory.getbasetemp() / "round.tsv"
+        n = len(texts)
+        save_graph(TextAttributedGraph.from_edges(n, [(0, n - 1)], texts), path)
+        loaded = load_graph(path)
+        assert loaded.raw_text == tuple(flattened(t) for t in texts)
+        assert loaded.edges == (((0, n - 1),) if n > 1 else ())
+
+
 class TestLoadGraphProperty:
     @settings(max_examples=300, deadline=None)
     @given(body=st.binary(max_size=96) | st.text(alphabet="0123-\t\n ab\xe9", max_size=48)
@@ -113,6 +140,84 @@ class TestGraphInvariants:
     def test_features_frozen(self, tiny_graph):
         with pytest.raises(ValueError):
             tiny_graph.features[0, 0] = 99.0
+
+
+HUGE = [2**63 - 1, 2**63, 2**64, -2**63 - 1, 2**100]
+
+
+@st.composite
+def edge_lists(draw):
+    """A node count and an edge list: a canonical, sorted and unique list,
+    maybe shuffled, with up to three edges inserted anywhere. An inserted
+    edge repeats or flips one in the list, or is a self-loop or any pair,
+    with ends out of range or beyond int64. Ends are Python or numpy ints,
+    in tuples or lists."""
+    n = draw(st.integers(0, 6))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = sorted(draw(st.sets(st.sampled_from(pairs)))) if pairs else []
+    if draw(st.booleans()):
+        edges = draw(st.permutations(edges))
+    end = st.integers(-2, n + 1) | st.sampled_from(HUGE)
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["repeat", "flip"] * bool(edges) + ["loop", "any"]))
+        if kind in ("repeat", "flip"):
+            edge = draw(st.sampled_from(edges))
+            edge = edge if kind == "repeat" else edge[::-1]
+        elif kind == "loop":
+            edge = (draw(end),) * 2
+        else:
+            edge = (draw(end), draw(end))
+        edges.insert(draw(st.integers(0, len(edges))), edge)
+    if draw(st.booleans()):
+        edges = [[u, v] for u, v in edges]
+    elif draw(st.booleans()):
+        edges = [tuple(np.int64(x) if abs(x) < 2**62 else x for x in e) for e in edges]
+    return n, edges
+
+
+def outcome(call):
+    """The call's result, or the class and message of the TagsumError it raised."""
+    try:
+        return call()
+    except TagsumError as exc:
+        return type(exc), str(exc)
+
+
+class TestBulkEdgesAgainstLoops:
+    @settings(max_examples=400, deadline=None)
+    @given(case=edge_lists())
+    def test_check_matches_the_loop(self, case):
+        n, edges = case
+        got = outcome(lambda: TextAttributedGraph(n, tuple(edges), ("",) * n).edges)
+        want = outcome(lambda: loop_check_edges(n, edges) or tuple(edges))
+        assert got == want
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=edge_lists())
+    def test_canonical_edges_match_the_loop(self, case):
+        n, edges = case
+        got = outcome(lambda: TextAttributedGraph.from_edges(n, edges, [""] * n).edges)
+        want = outcome(lambda: loop_canonical_edges(n, edges))
+        assert repr(got) == repr(want)
+
+    def test_huge_end_is_validation_error(self):
+        for make in (lambda: TextAttributedGraph(2, ((0, 2**64),), ("", "")),
+                     lambda: TextAttributedGraph.from_edges(2, [(2**64, 0)], ["", ""])):
+            with pytest.raises(ValidationError, match="out of range"):
+                make()
+
+    @pytest.mark.parametrize("edges", [[(0, 1, 2)], [(0, 1), (2,)], [(0, 1), (1, 2, 0), ()]])
+    def test_malformed_pair_rejected(self, edges):
+        with pytest.raises(ValidationError, match="pair"):
+            TextAttributedGraph(3, tuple(edges), ("",) * 3)
+        with pytest.raises(ValidationError, match="pair"):
+            TextAttributedGraph.from_edges(3, edges, [""] * 3)
+
+    def test_canonical_input_is_kept(self):
+        edges = [(0, 1), (0, 2), (1, 2)]
+        graph = TextAttributedGraph.from_edges(3, edges, [""] * 3)
+        assert graph.edges == tuple(edges)
+        assert all(a is b for a, b in zip(graph.edges, edges))
 
 
 class TestSamplerConfig:
@@ -343,7 +448,7 @@ class TestStreamSeeding:
     def test_pools_and_states_equal_numpy(self):
         rng_seeds = [s for s in self.SEEDS for _ in self.NODES]
         nodes = self.NODES * len(self.SEEDS)
-        pools = _seed_pools(rng_seeds, nodes)
+        pools = _seed_pools(_walker_entropy(rng_seeds, nodes))
         states = _pcg64_states(pools)
         for i, (rng_seed, node) in enumerate(zip(rng_seeds, nodes)):
             sequence = np.random.SeedSequence([rng_seed & ((1 << 64) - 1), node])

@@ -1,5 +1,7 @@
 """Text encoder contracts: determinism, pooling, closed tables."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,8 @@ from tagsum.textenc import (
     TableTextEncoder,
     attach_features,
 )
+
+from reference import loop_encode, token_vector
 
 
 class TestHashEncoder:
@@ -130,6 +134,74 @@ class TestTableFileProperty:
             TableTextEncoder.from_file(path)
         except TagsumError:
             pass
+
+
+# Tokens that repeat, differ only in case, or are not ASCII; a lone surrogate
+# cannot be hashed, and separators of several kinds.
+TOKENS = st.sampled_from(["graph", "Graph", "node", "a", "\u00e9t\u00e9", "\u65e5\u672c",
+                          "\U0001f600", "x\u0301", "\ud800"]) | st.text(
+    alphabet=st.characters(blacklist_categories=("Cs", "Zs", "Zl", "Zp", "Cc")),
+    min_size=1, max_size=3)
+SEPARATORS = st.sampled_from([" ", "  ", "\t", "\n", "\r\n", "\x0b", "\x1c", "\xa0", "\u3000",
+                              "\u2028", " \x85 "])
+TEXTS = st.lists(st.builds("".join, st.lists(TOKENS | SEPARATORS, max_size=8)), max_size=6)
+
+
+def rows_or_error(call):
+    """The call's rows as bytes, or the class and message of what it raised."""
+    try:
+        return call().tobytes()
+    except (ValidationError, UnicodeEncodeError) as exc:
+        return type(exc), str(exc)
+
+
+def loop_rows(texts, dim):
+    return np.array([loop_encode(text, dim) for text in texts]).reshape(-1, dim)
+
+
+class TestBatchEncodingAgainstLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(texts=TEXTS, warm=TEXTS, dim=st.integers(1, 9))
+    def test_rows_bit_identical_or_same_first_error(self, texts, warm, dim):
+        enc = HashTextEncoder(dim)
+        # A warm cache, or an error in an earlier call, changes no row.
+        rows_or_error(lambda: enc.encode_texts(warm))
+        got = rows_or_error(lambda: enc.encode_texts(texts))
+        assert got == rows_or_error(lambda: loop_rows(texts, dim))
+        good = list(itertools.takewhile(
+            lambda text: isinstance(rows_or_error(lambda: loop_encode(text, dim)), bytes), texts))
+        assert enc.encode_texts(good).tobytes() == loop_rows(good, dim).tobytes()
+        for text in good:
+            assert enc.encode(text).vector.tobytes() == loop_encode(text, dim).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(texts=TEXTS, dim=st.integers(1, 9))
+    def test_token_vectors_are_their_own_generators(self, texts, dim):
+        enc = HashTextEncoder(dim)
+        for text in texts:
+            rows_or_error(lambda: enc.encode_texts([text]))
+        assert enc._seeded == len(enc._token_ids)
+        for token, row in enc._token_ids.items():
+            assert enc._vectors[row].tobytes() == token_vector(token, dim).tobytes()
+
+    def test_first_bad_text_raises(self):
+        enc = HashTextEncoder(4)
+        with pytest.raises(UnicodeEncodeError):
+            enc.encode_texts(["fine", "bad \ud800", "   "])
+        with pytest.raises(ValidationError, match="empty"):
+            enc.encode_texts(["fine", "", "bad \ud800"])
+        assert enc.encode_texts([]).shape == (0, 4)
+
+    def test_table_rows_match_per_text_normalization(self):
+        vectors = [[3.0, 4.0], [1.0, 1e-3], [-2.0, 0.5]]
+        enc = TableTextEncoder.build(["a", "b", "c"], vectors)
+        rows = enc.encode_texts(["c", "a", "c", "b"])
+        for row, i in zip(rows, [2, 0, 2, 1]):
+            vec = np.array(vectors[i])
+            assert row.tobytes() == (vec / np.linalg.norm(vec)).tobytes()
+        with pytest.raises(ValidationError, match="not present"):
+            enc.encode_texts(["a", "missing", "b"])
+        assert enc.encode_texts([]).shape == (0, 2)
 
 
 class TestEmbeddingType:

@@ -148,10 +148,11 @@ class TestTheoremBound:
                                       n_samples=20_000, seed=1)
         assert report.points[0].lhs == 0.0
 
-    def test_single_domain_lhs_zero(self):
-        report = verify_theorem_bound([0.5], [(1.0, 0.0)], [1.0],
-                                      n_samples=20_000, seed=2)
-        assert report.points[0].lhs == 0.0
+    @pytest.mark.parametrize("scales", [[1.0], [2.0, 2.0]], ids=["one", "repeated"])
+    def test_single_domain_rejected(self, scales):
+        # One domain has a risk gap of 0 by construction: the bound would pass vacuously.
+        with pytest.raises(ValidationError, match="two distinct scales"):
+            verify_theorem_bound([0.5], [(1.0, 0.0)], scales, n_samples=20_000, seed=2)
 
     def test_unbounded_region_rejected(self):
         with pytest.raises(ValidationError) as err:

@@ -13,7 +13,6 @@ import contextlib
 import json
 import os
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -354,8 +353,11 @@ def generate_pairs(
         return error
 
     with contextlib.ExitStack() as stack:
-        pool = (stack.enter_context(ThreadPoolExecutor(max_workers=max_in_flight))
-                if max_in_flight > 1 else None)
+        pool = None
+        if max_in_flight > 1:
+            # Imported here: sequential runs never load the thread pool.
+            from concurrent.futures import ThreadPoolExecutor
+            pool = stack.enter_context(ThreadPoolExecutor(max_workers=max_in_flight))
         sink = None
         for start in range(0, len(todo), INDUCE_CHUNK):
             # Prompts are built on this thread: one at a time for sequential

@@ -9,7 +9,6 @@ closing bracket (``<data key="d2" >``); that quirk is part of the dialect.
 
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -150,6 +149,9 @@ def _node_index(raw_id: str, known: dict, context: str) -> int:
 def parse_graphml(doc: str) -> ParsedGraphML:
     """Parse a document in the dialect; inverse of :func:`emit_graphml` on
     topology and attribute text."""
+    # Imported here: only the GraphML reader needs the tree parser.
+    import xml.etree.ElementTree as ET
+
     try:
         root = ET.fromstring(doc)
     except ET.ParseError as exc:

@@ -187,13 +187,29 @@ class TableTextEncoder:
 
     @classmethod
     def build(cls, texts, vectors) -> "TableTextEncoder":
+        """Table mapping ``texts[i]`` to ``vectors[i]``. Vectors must be
+        nonempty, flat, finite and of one dim, one per text, as ``from_file``
+        requires; the first entry that is not raises ``ValidationError``
+        naming its index."""
+        texts, vectors = list(texts), list(vectors)
         table = {}
         dim = None
-        for text, vec in zip(texts, vectors):
-            vec = np.asarray(vec, dtype=np.float64)
-            dim = vec.shape[0] if dim is None else dim
+        for i, (text, vec) in enumerate(zip(texts, vectors)):
+            try:
+                vec = np.array(vec, dtype=np.float64)
+            except (TypeError, ValueError, OverflowError):
+                vec = None
+            if vec is None or vec.ndim != 1 or not len(vec) or not np.isfinite(vec).all():
+                raise ValidationError(
+                    f"entry {i}: vector should be a nonempty list of finite numbers")
+            dim = len(vec) if dim is None else dim
+            if len(vec) != dim:
+                raise ValidationError(f"entry {i}: vector dim {len(vec)} != {dim}")
             vec.flags.writeable = False
             table[_text_sha256(text)] = vec
+        if len(texts) != len(vectors):
+            raise ValidationError(f"entry {min(len(texts), len(vectors))}: "
+                                  f"{len(texts)} texts but {len(vectors)} vectors")
         if dim is None:
             raise ValidationError("no entries given")
         return cls(table, dim)

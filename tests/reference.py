@@ -16,6 +16,7 @@ from tagsum.corpus import split_node_text
 from tagsum.errors import ValidationError
 from tagsum.graphs import TextAttributedGraph, induced_subgraph, rwr_batch
 from tagsum.prompts import render_summary_prompt
+from tagsum.synthetic import _NODE_VOCAB, CLASS_KEYWORDS
 
 
 def _walk(neighbors, seed_node: int, restart_prob: float, draw):
@@ -108,6 +109,43 @@ def loop_synthetic_edges(num_nodes: int, labels, rng: np.random.Generator,
             if rng.random() < p:
                 edges.append((u, v))
     return edges
+
+
+def loop_synthetic_tag(
+    num_nodes: int = 90,
+    num_classes: int = 3,
+    *,
+    seed: int = 0,
+    intra_edge_prob: float = 0.3,
+    inter_edge_prob: float = 0.005,
+    domain_tokens: tuple = (),
+    graph_id: str = "synthetic",
+) -> TextAttributedGraph:
+    """``synthetic.make_synthetic_tag`` with one ``Generator.choice`` call per
+    node and one block of draws per row of node pairs."""
+    rng = np.random.default_rng(seed)
+    labels = np.array([i % num_classes for i in range(num_nodes)], dtype=np.int64)
+
+    suffix = (" " + " ".join(domain_tokens)) if domain_tokens else ""
+    texts = []
+    for i in range(num_nodes):
+        vocab = _NODE_VOCAB[labels[i]]
+        w1, w2 = rng.choice(len(vocab), size=2, replace=False)
+        texts.append(f"paper on {vocab[w1]} {vocab[w2]} {vocab[w1]} methods v{i}{suffix}")
+
+    prob = np.where(labels == np.arange(num_classes)[:, None], intra_edge_prob, inter_edge_prob)
+    edges = []
+    for u in range(num_nodes):
+        draws = rng.random(num_nodes - u - 1)
+        hits = np.flatnonzero(draws < prob[labels[u], u + 1:]) + u + 1
+        edges.extend((u, int(v)) for v in hits)
+
+    return TextAttributedGraph.from_edges(
+        num_nodes, edges, texts,
+        labels=labels,
+        class_names=CLASS_KEYWORDS[:num_classes],
+        graph_id=graph_id,
+    )
 
 
 def loop_adamw_step(optimizer_state: dict, tensors: dict, grads: dict, lr: float,

@@ -430,6 +430,16 @@ class TestErrors:
         assert not (out / "report.csv").exists()
 
 
+def run_isolated(script: str, *args):
+    """Run ``script`` in a fresh interpreter on the package source; its last
+    stdout line is JSON, returned decoded."""
+    src = str(Path(tagsum.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script, *map(str, args)], timeout=120,
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True)
+    assert done.returncode == 0, done.stderr.decode()
+    return json.loads(done.stdout.decode().splitlines()[-1])
+
+
 # Modules of the HTTP and TLS stack. Only an HttpLlmClient built without an
 # injected session needs them.
 NETWORK_MODULES = ("requests", "urllib3", "ssl", "http.client", "urllib.request")
@@ -453,14 +463,62 @@ for command in ("gen-corpus", "sample"):
     assert code == 0, (command, code)
 print(json.dumps([name for name in {NETWORK_MODULES!r} if name in sys.modules]))
 """
-        src = str(Path(tagsum.__file__).resolve().parents[1])
-        done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], timeout=120,
-                              env={**os.environ, "PYTHONPATH": src}, capture_output=True)
-        assert done.returncode == 0, done.stderr.decode()
-        assert json.loads(done.stdout.decode().splitlines()[-1]) == []
+        assert run_isolated(script, tmp_path) == []
         assert len((tmp_path / "gen-corpus" / "pairs.jsonl").read_text().splitlines()) == 4
         assert len(list((tmp_path / "sample" / "subgraphs").glob("*.graphml"))) == 4
 
+
+
+class TestUnusedStdlibStaysOut:
+    """The thread pool loads only for concurrent requests, and the XML tree
+    parser only where GraphML is read."""
+
+    def test_training_and_scoring_load_neither(self, tmp_path):
+        script = f"""
+import json, sys
+from pathlib import Path
+import tagsum.cli
+from tagsum.corpus import write_pairs
+from tagsum.graphs import save_graph
+from tagsum.synthetic import make_synthetic_pairs, make_synthetic_tag
+
+root = Path(sys.argv[1])
+graph = make_synthetic_tag(16, seed=0, graph_id="tiny")
+save_graph(graph, root / "tiny.tsv")
+write_pairs(root / "pairs.jsonl", make_synthetic_pairs(graph, range(8)))
+small = {SMALL!r}
+code = tagsum.cli.main(["pretrain", "--graph", str(root / "tiny.tsv"),
+                        "--pairs", str(root / "pairs.jsonl"), "--out", str(root / "train"),
+                        "--pretrain.epochs", "1", *small])
+assert code == 0, code
+code = tagsum.cli.main(["eval-lp", "--graph", str(root / "tiny.tsv"),
+                        "--checkpoint", str(root / "train" / "checkpoint.bin"),
+                        "--out", str(root / "lp"), "--adapt.runs", "1", *small])
+assert code == 0, code
+print(json.dumps([name for name in ("concurrent.futures", "xml.etree.ElementTree")
+                  if name in sys.modules]))
+"""
+        assert run_isolated(script, tmp_path) == []
+        assert (tmp_path / "lp" / "report.csv").exists()
+
+    def test_sequential_corpus_loads_no_thread_pool(self, tmp_path):
+        script = """
+import json, sys
+from pathlib import Path
+import tagsum.cli
+from tagsum.graphs import save_graph
+from tagsum.synthetic import make_synthetic_tag
+
+root = Path(sys.argv[1])
+save_graph(make_synthetic_tag(12, seed=0, graph_id="tiny"), root / "tiny.tsv")
+code = tagsum.cli.main(["gen-corpus", "--graph", str(root / "tiny.tsv"), "--out",
+                        str(root / "corpus"), "--corpus.num_seeds", "4",
+                        "--corpus.max_in_flight", "1"])
+assert code == 0, code
+print(json.dumps("concurrent.futures" in sys.modules))
+"""
+        assert run_isolated(script, tmp_path) is False
+        assert len((tmp_path / "corpus" / "pairs.jsonl").read_text().splitlines()) == 4
 
 class TestConfigTypes:
     def test_int_accepted_for_float(self):

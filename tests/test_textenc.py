@@ -1,6 +1,7 @@
 """Text encoder contracts: determinism, pooling, closed tables."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -78,6 +79,31 @@ class TestTableEncoder:
         a = TableTextEncoder.build(["x"], [[1.0, 0.0]])
         b = TableTextEncoder.build(["x"], [[0.0, 1.0]])
         assert a.state_checksum() != b.state_checksum()
+
+    @pytest.mark.parametrize("texts, vectors, message", [
+        (["a", "b"], [[1.0, 0.0], [1.0, 0.0, 0.0]], "entry 1: vector dim 3 != 2"),
+        (["a", "b", "c"], [[1.0, 0.0], [0.0, 1.0]], "entry 2: 3 texts but 2 vectors"),
+        (["a"], [[1.0, 0.0], [0.0, 1.0]], "entry 1: 1 texts but 2 vectors"),
+        (["a", "b"], [[1.0, 0.0], [[1.0]]], "entry 1: vector should be"),
+        (["a"], [[[1.0]]], "entry 0: vector should be"),
+        (["a"], [[]], "entry 0: vector should be"),
+        (["a", "b"], [[1.0], [float("nan")]], "entry 1: vector should be"),
+        (["a", "b"], [[1.0], [float("inf")]], "entry 1: vector should be"),
+        (["a"], [["x"]], "entry 0: vector should be"),
+        (["a"], [[10**400]], "entry 0: vector should be"),
+        (["a", "b"], [[1.0, 2.0], [[1.0], [2.0, 3.0]]], "entry 1: vector should be"),
+        ([], [], "no entries"),
+    ])
+    def test_build_rejects_first_bad_entry(self, texts, vectors, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            TableTextEncoder.build(texts, vectors)
+
+    def test_build_copies_rows(self):
+        vectors = np.eye(2)
+        enc = TableTextEncoder.build(["a", "b"], vectors)
+        vectors[0, 0] = 5.0
+        assert enc.encode("a").vector.tolist() == [1.0, 0.0]
+        assert TableTextEncoder.build(["a"], [[2.0]]).dim == 1
 
 
 GOOD_RECORD = b'{"sha256": "ab", "vector": [1.0, 2.0]}\n'

@@ -33,7 +33,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
 from .atomic import write_text
 from .autodiff import Tensor
 from .encoder import GraphEncoderConfig, ParamStore, embed_batch, encode_batch, subgraph_batch
@@ -476,7 +475,7 @@ def prompt_tune(
     # The towers enter the tape as constants sharing the store's arrays, so
     # backward computes no tower gradient and leaves the store's slots alone.
     frozen = ParamStore({name: Tensor(t.data) for name, t in store.tensors.items()})
-    sigma = Tensor(np.zeros(config.text_dim), requires_grad=True)
+    sigma = Tensor(np.zeros(config.text_dim))
     optimizer = AdamW({"sigma": sigma},
                       OptimizerConfig(lr=lr, weight_decay=weight_decay))
     # Fresh subgraph draws per epoch keep sigma from overfitting one sample
@@ -490,13 +489,14 @@ def prompt_tune(
     for epoch in range(epochs):
         batch = subgraph_batch(config, graph, node_sets[epoch * shots:(epoch + 1) * shots],
                                None)
-        # sigma also lands on padded slots, which the encoder ignores.
-        z, _ = encode_batch(frozen, config, batch, ad.add(Tensor(batch.features), sigma))
+        # sigma also lands on padded slots, which the encoder ignores; its
+        # gradient is the feature gradient summed over subgraphs and slots.
+        z, x = encode_batch(frozen, config, batch,
+                            Tensor(batch.features + sigma.data, requires_grad=True))
         loss = supervised_contrastive_loss_tensor(
             z, train_labels, labels.embeddings, temperature)
-        sigma.zero_grad()
         loss.backward()
-        optimizer.step({"sigma": sigma.grad})
+        optimizer.step({"sigma": x.grad.sum(axis=(0, 1))})
         losses.append(loss.item())
 
     # Both accuracies score the same subgraphs: walked and built once.

@@ -7,9 +7,10 @@ created with ``requires_grad=True`` (parameters and, when needed, input
 features). Inside ``no_grad()`` nothing is recorded, so inference keeps no
 tape. All data is promoted to float64.
 
-Besides the elementwise, matmul and shape ops, the module holds the numpy
-kernels that the encoder's fused sublayer ops share (see ``encoder``). A
-fused op records one tape node and returns, through ``gradients``, a
+Besides ``matmul`` and the shape ops ``reshape`` and ``concat``, the module
+holds the numpy kernels that the encoder's fused sublayer ops share (see
+``encoder``); the losses are fused ops too (see ``losses``). A fused op
+records one tape node and returns, through ``gradients``, a
 gradient only for the parents that need one (``needs_grad``), so a frozen
 weight costs no matmul in backward. The kernels' backward formulas:
 
@@ -119,46 +120,6 @@ class Tensor:
                 elif parent.requires_grad:      # a leaf: accumulate in place
                     parent.grad += contribution
 
-    # Operator sugar; every op lives as a module function below.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(as_tensor(other), self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return mul(self, as_tensor(-1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) != 1 else shape[0])
-
-    def transpose(self, axes):
-        return transpose(self, axes)
-
 
 def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
@@ -187,46 +148,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
-def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-
-    def backward(grad):
-        return ((a, _unbroadcast(grad, a.data.shape)),
-                (b, _unbroadcast(grad, b.data.shape)))
-
-    return Tensor(a.data + b.data, _parents=(a, b), _backward=backward)
-
-
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-
-    def backward(grad):
-        return ((a, _unbroadcast(grad, a.data.shape)),
-                (b, _unbroadcast(-grad, b.data.shape)))
-
-    return Tensor(a.data - b.data, _parents=(a, b), _backward=backward)
-
-
-def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-
-    def backward(grad):
-        return ((a, _unbroadcast(grad * b.data, a.data.shape)),
-                (b, _unbroadcast(grad * a.data, b.data.shape)))
-
-    return Tensor(a.data * b.data, _parents=(a, b), _backward=backward)
-
-
-def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-
-    def backward(grad):
-        return ((a, _unbroadcast(grad / b.data, a.data.shape)),
-                (b, _unbroadcast(-grad * a.data / (b.data * b.data), b.data.shape)))
-
-    return Tensor(a.data / b.data, _parents=(a, b), _backward=backward)
-
-
 def _swap_last(x: np.ndarray) -> np.ndarray:
     return np.swapaxes(x, -1, -2)
 
@@ -244,33 +165,6 @@ def matmul(a, b) -> Tensor:
     return Tensor(np.matmul(a.data, b.data), _parents=(a, b), _backward=backward)
 
 
-def tsum(a, axis=None, keepdims=False) -> Tensor:
-    a = as_tensor(a)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def backward(grad):
-        if axis is None:
-            expanded = np.broadcast_to(grad, a.data.shape)
-        elif keepdims:
-            expanded = np.broadcast_to(grad, a.data.shape)
-        else:
-            expanded = np.broadcast_to(np.expand_dims(grad, axis), a.data.shape)
-        return ((a, np.ascontiguousarray(expanded)),)
-
-    return Tensor(out, _parents=(a,), _backward=backward)
-
-
-def tmean(a, axis=None, keepdims=False) -> Tensor:
-    a = as_tensor(a)
-    if axis is None:
-        count = a.data.size
-    elif isinstance(axis, tuple):
-        count = int(np.prod([a.data.shape[i] for i in axis]))
-    else:
-        count = a.data.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), as_tensor(1.0 / count))
-
-
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
 
@@ -278,16 +172,6 @@ def reshape(a, shape) -> Tensor:
         return ((a, grad.reshape(a.data.shape)),)
 
     return Tensor(a.data.reshape(shape), _parents=(a,), _backward=backward)
-
-
-def transpose(a, axes) -> Tensor:
-    a = as_tensor(a)
-    inverse = np.argsort(axes)
-
-    def backward(grad):
-        return ((a, grad.transpose(inverse)),)
-
-    return Tensor(a.data.transpose(axes), _parents=(a,), _backward=backward)
 
 
 def concat(tensors, axis) -> Tensor:
@@ -301,35 +185,6 @@ def concat(tensors, axis) -> Tensor:
 
     return Tensor(np.concatenate([t.data for t in tensors], axis=axis),
                   _parents=tuple(tensors), _backward=backward)
-
-
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.exp(a.data)
-
-    def backward(grad):
-        return ((a, grad * out_data),)
-
-    return Tensor(out_data, _parents=(a,), _backward=backward)
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-
-    def backward(grad):
-        return ((a, grad / a.data),)
-
-    return Tensor(np.log(a.data), _parents=(a,), _backward=backward)
-
-
-def tanh(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.tanh(a.data)
-
-    def backward(grad):
-        return ((a, grad * (1.0 - out_data * out_data)),)
-
-    return Tensor(out_data, _parents=(a,), _backward=backward)
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -385,18 +240,6 @@ def softmax(a) -> Tensor:
         return ((a, softmax_backward(out_data, grad)),)
 
     return Tensor(out_data, _parents=(a,), _backward=backward)
-
-
-def logsumexp(a, axis=-1, keepdims=False) -> Tensor:
-    """log(sum(exp(a))) along one axis; the max shift is exact, not approximate."""
-    a = as_tensor(a)
-    shift = a.data.max(axis=axis, keepdims=True)
-    z = exp(sub(a, as_tensor(shift)))
-    out = add(log(tsum(z, axis=axis, keepdims=True)), as_tensor(shift))
-    if not keepdims:
-        out = reshape(out, tuple(d for i, d in enumerate(out.data.shape)
-                                 if i != (axis % out.data.ndim)))
-    return out
 
 
 def _row_mean(x: np.ndarray) -> np.ndarray:

@@ -1,13 +1,13 @@
 """Finite-difference verification of every analytic gradient.
 
 Central differences with step 1e-5 on float64 are the independent oracle for
-the whole reverse-mode path: encoder parameters, input features, each fused
-tape op of the encoder on its own, and the contrastive /
-supervised-contrastive losses. The relative error of a tensor
-is the worst entrywise |analytic - fd| / (max(|analytic|, |fd|) + 1e-5); the
-additive floor keeps near-zero gradients from amplifying the oracle's own
-roundoff, while real sign or scale errors still show up orders of magnitude
-above the tolerance.
+the whole reverse-mode path: encoder parameters, input features, and each
+fused tape op on its own, the encoder's sublayers and the contrastive and
+supervised contrastive losses. The relative error of a tensor is the worst
+entrywise |analytic - fd| / (max(|analytic|, |fd|) + 1e-5); the additive
+floor keeps near-zero gradients from amplifying the oracle's own roundoff,
+while real sign or scale errors still show up orders of magnitude above the
+tolerance.
 """
 
 from __future__ import annotations
@@ -21,16 +21,17 @@ from .encoder import (
     FFN_PARAMS,
     MIXING_PARAMS,
     GraphEncoderConfig,
+    PaddedBatch,
     ParamStore,
     encode_batch,
     ffn_sublayer,
     input_projection,
     mixing_sublayer,
-    pad_batch,
     readout,
+    subgraph_batch,
 )
 from .errors import ValidationError
-from .graphs import SamplerConfig, TextAttributedGraph, rwr_sample, with_positional_encodings
+from .graphs import SamplerConfig, TextAttributedGraph, rwr_batch
 from .losses import contrastive_loss_tensor, supervised_contrastive_loss_tensor
 
 DEFAULT_STEP = 1e-5
@@ -115,17 +116,27 @@ class GradCheckReport:
         return "\n".join(lines)
 
 
-def _random_subgraph(config: GraphEncoderConfig, num_nodes: int, seed: int):
-    rng = np.random.default_rng(seed)
-    edges = [(i, j) for i in range(num_nodes) for j in range(i + 1, num_nodes)
-             if rng.random() < 0.7]
-    graph = TextAttributedGraph.from_edges(
-        num_nodes, edges, [""] * num_nodes,
-        features=rng.normal(size=(num_nodes, config.text_dim)),
-    )
-    sub = rwr_sample(graph, 0, SamplerConfig(
-        node_budget=num_nodes, max_steps=max(num_nodes * 8, num_nodes), rng_seed=seed))
-    return with_positional_encodings(sub, config.positional_dim)
+def _random_batch(config: GraphEncoderConfig, sizes: tuple[int, ...], seed: int) -> PaddedBatch:
+    """A padded batch of one random subgraph per entry of ``sizes``.
+
+    Subgraph i comes from a graph of its own on n = sizes[i] nodes, drawn
+    from seed + 1 + i: each pair joined with probability 0.7, then normal
+    features. A walk from node 0 on the same seed picks the nodes. The
+    graphs are laid side by side as one graph, so one ``subgraph_batch``
+    builds the batch."""
+    edges, features, node_sets, offset = [], [], [], 0
+    for i, n in enumerate(sizes):
+        rng = np.random.default_rng(seed + 1 + i)
+        own = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.7]
+        features.append(rng.normal(size=(n, config.text_dim)))
+        walk = rwr_batch(TextAttributedGraph.from_edges(n, own, [""] * n), [0], [seed + 1 + i],
+                         SamplerConfig(node_budget=n, max_steps=8 * n), None)[0]
+        node_sets.append(offset + walk)
+        edges += [(offset + a, offset + b) for a, b in own]
+        offset += n
+    graph = TextAttributedGraph.from_edges(offset, edges, [""] * offset,
+                                           features=np.vstack(features))
+    return subgraph_batch(config, graph, node_sets, None)
 
 
 def check_encoder_gradients(
@@ -140,8 +151,7 @@ def check_encoder_gradients(
     batch of subgraphs of those sizes, padded slots included."""
     sizes = (num_nodes,) if isinstance(num_nodes, int) else tuple(num_nodes)
     store = ParamStore.initialize(config, seed=seed)
-    batch = pad_batch(config, [_random_subgraph(config, n, seed + 1 + i)
-                               for i, n in enumerate(sizes)])
+    batch = _random_batch(config, sizes, seed)
     weights = np.random.default_rng(seed + 2).normal(size=(len(sizes), config.text_dim))
     features = batch.features.copy()
 
@@ -161,7 +171,8 @@ def check_encoder_gradients(
     return compare_gradients(analytic, numeric, tolerance)
 
 
-FUSED_OPS = ("input_projection", "mixing", "ffn", "readout", "contrastive_loss")
+FUSED_OPS = ("input_projection", "mixing", "ffn", "readout", "contrastive_loss",
+             "supervised_contrastive_loss")
 
 
 def check_fused_op_gradients(
@@ -177,16 +188,23 @@ def check_fused_op_gradients(
 
     The op runs on a padded, masked batch of subgraphs of ``sizes``; the
     weighting covers padded rows too, so the whole function is checked. The
-    loss takes (len(sizes), text_dim) unit rows."""
+    losses take (len(sizes), text_dim) unit rows; the supervised one scores
+    them against two unit class rows."""
     store = ParamStore.initialize(config, seed=seed)
-    batch = pad_batch(config, [_random_subgraph(config, n, seed + 1 + i)
-                               for i, n in enumerate(sizes)])
+    batch = _random_batch(config, sizes, seed)
     rng = np.random.default_rng(seed + 2)
     hidden = rng.normal(size=batch.features.shape[:2] + (config.hidden,))
 
-    def unit_rows():
-        a = rng.normal(size=(len(sizes), config.text_dim))
+    def unit_rows(rows=len(sizes), draw=rng):
+        a = draw.normal(size=(rows, config.text_dim))
         return a / np.linalg.norm(a, axis=1, keepdims=True)
+
+    # The supervised loss draws from a stream of its own, which leaves every
+    # other case's draws alone. Anchors alternate between two classes: at
+    # the default three, two share a class and the middle one has no partner.
+    scl_rng = np.random.default_rng(seed + 3)
+    scl_anchors, scl_classes = unit_rows(draw=scl_rng), unit_rows(2, scl_rng)
+    scl_labels = np.arange(len(sizes)) % 2
 
     cases = {
         "input_projection": ({"x": batch.features.copy()}, ("input.weight", "input.bias"),
@@ -199,6 +217,9 @@ def check_fused_op_gradients(
                     lambda t: readout(t["h"], batch, store)),
         "contrastive_loss": ({"h": unit_rows(), "u": unit_rows()}, (),
                              lambda t: contrastive_loss_tensor(t["h"], t["u"], 0.1)),
+        "supervised_contrastive_loss": (
+            {"z": scl_anchors}, (),
+            lambda t: supervised_contrastive_loss_tensor(t["z"], scl_labels, scl_classes, 0.1)),
     }
     inputs, params, apply = cases[op]
     leaves = {name: Tensor(a.copy(), requires_grad=True) for name, a in inputs.items()}
@@ -216,70 +237,6 @@ def check_fused_op_gradients(
     for name, a in inputs.items():
         analytic[f"{op}.{name}"] = leaves[name].grad.copy()
         numeric[f"{op}.{name}"] = central_difference(forward, a, step)
-    return compare_gradients(analytic, numeric, tolerance)
-
-
-def check_contrastive_gradients(
-    batch: int = 3,
-    dim: int = 5,
-    temperature: float = 0.1,
-    seed: int = 0,
-    step: float = DEFAULT_STEP,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> dict[str, tuple[float, bool]]:
-    """FD-verify the contrastive loss gradients w.r.t. both embedding batches."""
-    rng = np.random.default_rng(seed)
-
-    def unit_rows(a):
-        return a / np.linalg.norm(a, axis=1, keepdims=True)
-
-    h = unit_rows(rng.normal(size=(batch, dim)))
-    u = unit_rows(rng.normal(size=(batch, dim)))
-
-    ht = Tensor(h.copy(), requires_grad=True)
-    ut = Tensor(u.copy(), requires_grad=True)
-    loss = contrastive_loss_tensor(ht, ut, temperature)
-    loss.backward()
-    analytic = {"loss.d_graph_batch": ht.grad.copy(), "loss.d_summary_batch": ut.grad.copy()}
-
-    def forward_h() -> float:
-        return contrastive_loss_tensor(Tensor(h), Tensor(u), temperature).item()
-
-    numeric = {
-        "loss.d_graph_batch": central_difference(forward_h, h, step),
-        "loss.d_summary_batch": central_difference(forward_h, u, step),
-    }
-    return compare_gradients(analytic, numeric, tolerance)
-
-
-def check_scl_gradients(
-    batch: int = 4,
-    dim: int = 5,
-    num_classes: int = 3,
-    temperature: float = 0.1,
-    seed: int = 0,
-    step: float = DEFAULT_STEP,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> dict[str, tuple[float, bool]]:
-    """FD-verify the supervised contrastive loss gradient w.r.t. the anchors."""
-    rng = np.random.default_rng(seed)
-    z = rng.normal(size=(batch, dim))
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
-    labels = rng.integers(0, num_classes, size=batch)
-    labels[0] = labels[1]  # guarantee at least one same-class anchor pair
-    label_emb = rng.normal(size=(num_classes, dim))
-    label_emb /= np.linalg.norm(label_emb, axis=1, keepdims=True)
-
-    zt = Tensor(z.copy(), requires_grad=True)
-    loss = supervised_contrastive_loss_tensor(zt, labels, label_emb, temperature)
-    loss.backward()
-    analytic = {"scl.d_anchors": zt.grad.copy()}
-
-    def forward() -> float:
-        return supervised_contrastive_loss_tensor(
-            Tensor(z), labels, label_emb, temperature).item()
-
-    numeric = {"scl.d_anchors": central_difference(forward, z, step)}
     return compare_gradients(analytic, numeric, tolerance)
 
 
@@ -312,8 +269,4 @@ def run_grad_check(
         report.add(f"fused {op}",
                    check_fused_op_gradients(op, config, seed=seed, step=step,
                                             tolerance=tolerance))
-    report.add("contrastive_loss",
-               check_contrastive_gradients(seed=seed, step=step, tolerance=tolerance))
-    report.add("supervised_contrastive_loss",
-               check_scl_gradients(seed=seed, step=step, tolerance=tolerance))
     return report

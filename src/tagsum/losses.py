@@ -43,7 +43,7 @@ def contrastive_loss_tensor(h: Tensor, u: Tensor, temperature: float) -> Tensor:
     D = ||h_i||^2 + ||u_j||^2 - 2 h_i . u_j and S = -D / temperature that gives
     dL/dh = 2 (rowsum(G) h - G u) and dL/du = 2 (colsum(G) u - G^T h) with
     G = dL/dD."""
-    if temperature <= 0:
+    if not temperature > 0:
         raise ValidationError("temperature must be positive")
     batch = _check_batch(h.data, u.data)
     hd, ud = h.data, u.data
@@ -99,44 +99,55 @@ def supervised_contrastive_loss_tensor(
     temperature: float = 0.1,
 ) -> Tensor:
     """Supervised contrastive loss of anchors against label sentences and
-    same-batch anchors.
+    same-batch anchors, as one tape node (Khosla et al. 2020, SupCon).
 
     For anchor i the candidate set is every label sentence plus every other
     anchor; positives are the anchor's own class sentence and same-class
-    anchors. Cosine similarities over temperature (all rows unit-norm).
+    anchors. The logits are S = [z E^T, z z^T] / temperature (all rows
+    unit-norm, so cosine similarities), each anchor's self column masked.
+    With the positive mask P and per-anchor positive counts c,
+    dL/dS = (softmax_rows(S) - P / c) / B, so
+    dL/dz = (dS_E E + (dS_z + dS_z^T) z) / temperature.
     """
-    if temperature <= 0:
+    if not temperature > 0:
         raise ValidationError("temperature must be positive")
+    zd = z.data
+    label_embeddings = np.asarray(label_embeddings, dtype=np.float64)
     labels = np.asarray(labels)
-    batch = z.data.shape[0]
-    num_classes = label_embeddings.shape[0]
+    if zd.ndim != 2 or label_embeddings.ndim != 2 or label_embeddings.shape[1] != zd.shape[1]:
+        raise ValidationError(f"anchors {zd.shape} and label embeddings "
+                              f"{label_embeddings.shape} need 2-D rows of one width")
+    batch, num_classes = zd.shape[0], label_embeddings.shape[0]
     if batch == 0:
         raise ValidationError("empty batch")
-    if labels.shape[0] != batch:
-        raise ValidationError("labels length does not match batch")
+    if labels.shape != (batch,) or not np.issubdtype(labels.dtype, np.integer):
+        raise ValidationError(f"labels must be {batch} integers, got {labels.dtype} "
+                              f"of shape {labels.shape}")
     if labels.min() < 0 or labels.max() >= num_classes:
         raise ValidationError("label id out of range")
 
-    inv_t = ad.as_tensor(1.0 / temperature)
-    sims_zu = ad.mul(z @ Tensor(label_embeddings.T), inv_t)       # (B, C)
-    sims_zz = ad.mul(z @ ad.transpose(z, (1, 0)), inv_t)          # (B, B)
-    logits = ad.concat([sims_zu, sims_zz], axis=1)                # (B, C + B)
-
-    # Mask out each anchor's self-similarity column from the candidate set.
-    self_mask = np.zeros((batch, num_classes + batch))
-    self_mask[np.arange(batch), num_classes + np.arange(batch)] = -1e9
-    logits = ad.add(logits, Tensor(self_mask))
+    inv_t = 1.0 / temperature
+    rows = np.arange(batch)
+    logits = np.concatenate([(zd @ label_embeddings.T) * inv_t, (zd @ zd.T) * inv_t],
+                            axis=1)                                   # (B, C + B)
+    logits[rows, num_classes + rows] -= 1e9        # no anchor is its own candidate
 
     positives = np.zeros((batch, num_classes + batch))
-    positives[np.arange(batch), labels] = 1.0
-    same = (labels[:, None] == labels[None, :]) & ~np.eye(batch, dtype=bool)
-    positives[:, num_classes:] = same.astype(np.float64)
-    counts = positives.sum(axis=1)                                # >= 1: own class sentence
+    positives[rows, labels] = 1.0
+    positives[:, num_classes:] = (labels[:, None] == labels) & ~np.eye(batch, dtype=bool)
+    counts = positives.sum(axis=1)                 # >= 1: own class sentence
 
-    log_denominator = ad.logsumexp(logits, axis=1, keepdims=True)  # (B, 1)
-    log_prob = ad.sub(logits, log_denominator)
-    per_anchor = ad.mul(
-        ad.tsum(ad.mul(log_prob, Tensor(positives)), axis=1),
-        Tensor(-1.0 / counts),
-    )
-    return ad.tmean(per_anchor)
+    shift = logits.max(axis=1, keepdims=True)
+    e = np.exp(logits - shift)
+    total = e.sum(axis=1, keepdims=True)
+    log_prob = logits - (np.log(total) + shift)
+    loss = np.sum((log_prob * positives).sum(axis=1) * (-1.0 / counts)) * (1.0 / batch)
+
+    def backward(grad):
+        ds = (e / total - positives / counts[:, None]) * (grad * inv_t / batch)
+        ds_label, ds_anchor = ds[:, :num_classes], ds[:, num_classes:]
+        return ad.gradients(
+            (z, lambda: ds_label @ label_embeddings + (ds_anchor + ds_anchor.T) @ zd),
+        )
+
+    return Tensor(loss, _parents=(z,), _backward=backward)

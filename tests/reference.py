@@ -3,6 +3,13 @@ against. Nothing here may change: the tests require exact equality with the
 scalar loops and the per-seed corpus builder, and agreement within 1e-12
 with ``query_major_mixing``, the encoder's attention sublayer before it went
 key-major.
+
+The composed-op oracle is the generic tape ops (``add``, ``sub``, ``mul``,
+``tsum``, ``tmean``, ``transpose``, ``exp``, ``log``, ``logsumexp``) and the
+two losses built from them, ``composed_contrastive_loss`` and
+``composed_supervised_contrastive_loss``: each fused loss in
+``tagsum.losses`` equals its composed loss bit for bit and its gradients
+within 1e-12.
 """
 
 import hashlib
@@ -12,6 +19,8 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
+import tagsum.autodiff as ad
+from tagsum.autodiff import Tensor, as_tensor
 from tagsum.corpus import split_node_text
 from tagsum.errors import ValidationError
 from tagsum.graphs import TextAttributedGraph, induced_subgraph, rwr_batch
@@ -304,3 +313,111 @@ def per_seed_corpus(graph, seeds, sampler_cfg, schema, domain, truncate_chars, c
                             sampler_cfg.rng_seed, "seed_id": seed, "summary": summary,
                             "token_count": len(summary.split())}, sort_keys=True) + "\n"
     return prompts, sink.encode("utf-8")
+
+
+def _node(data, *pairs) -> Tensor:
+    """A tape node over ``(parent, gradient map)`` pairs: backward hands each
+    parent its map of the incoming gradient."""
+    return Tensor(data, _parents=tuple(p for p, _ in pairs),
+                  _backward=lambda grad: [(p, to_parent(grad)) for p, to_parent in pairs])
+
+
+def _broadcast_pair(a, b, data, da, db) -> Tensor:
+    """A node of two broadcast operands; ``da`` and ``db`` map the incoming
+    gradient to each operand's before it is summed back to its shape."""
+    return _node(data, (a, lambda g: ad._unbroadcast(da(g), a.data.shape)),
+                 (b, lambda g: ad._unbroadcast(db(g), b.data.shape)))
+
+
+def add(a, b) -> Tensor:
+    a, b = as_tensor(a), as_tensor(b)
+    return _broadcast_pair(a, b, a.data + b.data, lambda g: g, lambda g: g)
+
+
+def sub(a, b) -> Tensor:
+    a, b = as_tensor(a), as_tensor(b)
+    return _broadcast_pair(a, b, a.data - b.data, lambda g: g, lambda g: -g)
+
+
+def mul(a, b) -> Tensor:
+    a, b = as_tensor(a), as_tensor(b)
+    return _broadcast_pair(a, b, a.data * b.data, lambda g: g * b.data, lambda g: g * a.data)
+
+
+def tsum(a, axis=None, keepdims=False) -> Tensor:
+    a = as_tensor(a)
+    kept = axis is None or keepdims
+    return _node(a.data.sum(axis=axis, keepdims=keepdims), (a, lambda g: np.ascontiguousarray(
+        np.broadcast_to(g if kept else np.expand_dims(g, axis), a.data.shape))))
+
+
+def tmean(a, axis=None, keepdims=False) -> Tensor:
+    a = as_tensor(a)
+    count = a.data.size if axis is None else a.data.shape[axis]
+    return mul(tsum(a, axis=axis, keepdims=keepdims), as_tensor(1.0 / count))
+
+
+def transpose(a, axes) -> Tensor:
+    a = as_tensor(a)
+    return _node(a.data.transpose(axes), (a, lambda g: g.transpose(np.argsort(axes))))
+
+
+def exp(a) -> Tensor:
+    a = as_tensor(a)
+    out = np.exp(a.data)
+    return _node(out, (a, lambda g: g * out))
+
+
+def log(a) -> Tensor:
+    a = as_tensor(a)
+    return _node(np.log(a.data), (a, lambda g: g / a.data))
+
+
+def logsumexp(a, axis=-1, keepdims=False) -> Tensor:
+    """log(sum(exp(a))) along one axis; the max shift is exact, not approximate."""
+    a = as_tensor(a)
+    shift = a.data.max(axis=axis, keepdims=True)
+    out = add(log(tsum(exp(sub(a, as_tensor(shift))), axis=axis, keepdims=True)),
+              as_tensor(shift))
+    if not keepdims:
+        out = ad.reshape(out, tuple(d for i, d in enumerate(out.data.shape)
+                                    if i != (axis % out.data.ndim)))
+    return out
+
+
+def composed_contrastive_loss(h: Tensor, u: Tensor, temperature: float) -> Tensor:
+    """``losses.contrastive_loss_tensor`` built from generic tape ops."""
+    batch = h.data.shape[0]
+    h_sq = tsum(mul(h, h), axis=1, keepdims=True)
+    u_sq = ad.reshape(tsum(mul(u, u), axis=1, keepdims=True), (1, batch))
+    dists = sub(add(h_sq, u_sq), mul(ad.matmul(h, transpose(u, (1, 0))), as_tensor(2.0)))
+    sims = mul(dists, as_tensor(-1.0 / temperature))
+    diag = tsum(mul(sims, Tensor(np.eye(batch))), axis=1)
+    rows = tmean(sub(logsumexp(sims, axis=1), diag))
+    cols = tmean(sub(logsumexp(transpose(sims, (1, 0)), axis=1), diag))
+    return mul(add(rows, cols), as_tensor(0.5))
+
+
+def composed_supervised_contrastive_loss(z: Tensor, labels, label_embeddings,
+                                         temperature: float) -> Tensor:
+    """``losses.supervised_contrastive_loss_tensor`` built from generic tape
+    ops, without its input checks."""
+    labels = np.asarray(labels)
+    batch, num_classes = z.data.shape[0], label_embeddings.shape[0]
+    inv_t = as_tensor(1.0 / temperature)
+    sims_zu = mul(ad.matmul(z, Tensor(label_embeddings.T)), inv_t)     # (B, C)
+    sims_zz = mul(ad.matmul(z, transpose(z, (1, 0))), inv_t)           # (B, B)
+    logits = ad.concat([sims_zu, sims_zz], axis=1)                     # (B, C + B)
+    self_mask = np.zeros((batch, num_classes + batch))
+    self_mask[np.arange(batch), num_classes + np.arange(batch)] = -1e9
+    logits = add(logits, Tensor(self_mask))
+
+    positives = np.zeros((batch, num_classes + batch))
+    positives[np.arange(batch), labels] = 1.0
+    same = (labels[:, None] == labels[None, :]) & ~np.eye(batch, dtype=bool)
+    positives[:, num_classes:] = same.astype(np.float64)
+    counts = positives.sum(axis=1)
+
+    log_prob = sub(logits, logsumexp(logits, axis=1, keepdims=True))
+    per_anchor = mul(tsum(mul(log_prob, Tensor(positives)), axis=1), Tensor(-1.0 / counts))
+    return tmean(per_anchor)

@@ -27,10 +27,10 @@ from tagsum.adapt import (
     zero_shot_classify,
 )
 import tagsum.adapt
-import tagsum.autodiff as ad
 from tagsum.autodiff import Tensor
 from tagsum.encoder import ParamStore, embed_batch, encode_batch, encode_graph_tensor
 from tagsum.errors import TagsumError, ValidationError
+from tagsum.gradcheck import central_difference, relative_error
 from tagsum.graphs import TextAttributedGraph, rwr_sample, with_positional_encodings
 from tagsum.losses import supervised_contrastive_loss_tensor
 from tagsum.pretrain import AdamW, OptimizerConfig
@@ -556,41 +556,27 @@ class TestPromptTune:
     def test_sigma_gradient_matches_finite_differences(self, trained_model,
                                                        target_graph,
                                                        label_prompts):
+        # prompt_tune's step: sigma added to every feature row of one padded
+        # batch, its gradient the feature gradient summed over rows.
         split = make_few_shot_split(target_graph, shots=2, seed=0)
-        subs = [with_positional_encodings(
-            rwr_sample(target_graph, n, TOY_SAMPLER), TOY_ENCODER.positional_dim)
-            for n in split.train_ids]
+        batch = sample_batch(TOY_ENCODER, target_graph, split.train_ids, TOY_SAMPLER)
         labels = np.array([int(target_graph.labels[n]) for n in split.train_ids])
         store = trained_model.store
 
         def loss_at(sigma_values):
-            import tagsum.autodiff as ad
-
-            sigma = Tensor(sigma_values, requires_grad=True)
-            rows = []
-            for sub in subs:
-                x = ad.add(Tensor(sub.features), sigma)
-                out, _ = encode_graph_tensor(store, TOY_ENCODER, sub, x_input=x)
-                rows.append(out)
-            z = ad.concat(rows, axis=0)
+            z, x = encode_batch(store, TOY_ENCODER, batch,
+                                Tensor(batch.features + sigma_values, requires_grad=True))
             return supervised_contrastive_loss_tensor(
-                z, labels, label_prompts.embeddings, 0.1), sigma
+                z, labels, label_prompts.embeddings, 0.1), x
 
         base = np.zeros(TOY_ENCODER.text_dim)
-        loss, sigma = loss_at(base)
+        loss, x = loss_at(base)
         store.zero_grads()
         loss.backward()
-        analytic = sigma.grad.copy()
+        analytic = x.grad.sum(axis=(0, 1))
 
-        step = 1e-5
-        numeric = np.zeros_like(base)
-        for j in range(base.size):
-            plus = base.copy(); plus[j] += step
-            minus = base.copy(); minus[j] -= step
-            numeric[j] = (loss_at(plus)[0].item() - loss_at(minus)[0].item()) / (2 * step)
-        rel = np.abs(analytic - numeric) / (np.maximum(np.abs(analytic),
-                                                       np.abs(numeric)) + 1e-5)
-        assert rel.max() < 1e-4
+        numeric = central_difference(lambda: loss_at(base)[0].item(), base, 1e-5)
+        assert relative_error(analytic, numeric) < 1e-4
 
     def test_towers_get_no_gradient(self, trained_model, target_graph, label_prompts):
         # A copy of the trained store with a sentinel in every gradient slot.
@@ -609,19 +595,18 @@ class TestPromptTune:
         mapping = prompt_index_map(target_graph, label_prompts)
         train_labels = np.array([int(mapping[target_graph.labels[n]])
                                  for n in split.train_ids])
-        sigma = Tensor(np.zeros(TOY_ENCODER.text_dim), requires_grad=True)
+        sigma = Tensor(np.zeros(TOY_ENCODER.text_dim))
         optimizer = AdamW({"sigma": sigma}, OptimizerConfig(lr=1e-2, weight_decay=1e-5))
         losses = []
         for epoch in range(3):
             batch = sample_batch(TOY_ENCODER, target_graph, split.train_ids,
                                  _node_sampler_cfg(TOY_SAMPLER, split.seed * 1009 + epoch))
-            z, _ = encode_batch(store, TOY_ENCODER, batch,
-                                ad.add(Tensor(batch.features), sigma))
+            z, x = encode_batch(store, TOY_ENCODER, batch,
+                                Tensor(batch.features + sigma.data, requires_grad=True))
             loss = supervised_contrastive_loss_tensor(z, train_labels,
                                                       label_prompts.embeddings, 0.1)
-            sigma.zero_grad()
             loss.backward()
-            optimizer.step({"sigma": sigma.grad})
+            optimizer.step({"sigma": x.grad.sum(axis=(0, 1))})
             losses.append(loss.item())
         assert result.losses == losses
         assert result.prompt.values.tobytes() == sigma.data.tobytes()

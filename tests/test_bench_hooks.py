@@ -5,7 +5,9 @@
 deleting one of them breaks only a traced benchmark run; these tests make it
 fail here too. A traced toy pretraining run checks that the tracer's
 observers still read the arguments they expect (``len()`` of
-``inner_maximize``'s batch).
+``inner_maximize``'s batch), and a traced toy prompt tuning run that the
+supervised loss, ``Tensor.backward`` and ``Tensor.__init__`` are still
+reached under the names the tracer wraps.
 """
 
 import functools
@@ -15,10 +17,17 @@ import json
 import sys
 from pathlib import Path
 
-from tagsum.encoder import GraphEncoderConfig
+from tagsum.adapt import build_label_prompts, make_few_shot_split
+from tagsum.encoder import GraphEncoderConfig, ParamStore
 from tagsum.graphs import SamplerConfig
 from tagsum.pretrain import OptimizerConfig, PerturbationState
-from tagsum.synthetic import make_synthetic_pairs, make_synthetic_tag
+from tagsum.synthetic import (
+    CLASS_DESCRIPTIONS,
+    CLASS_KEYWORDS,
+    LABEL_TEMPLATE,
+    make_synthetic_pairs,
+    make_synthetic_tag,
+)
 from tagsum.textenc import HashTextEncoder, attach_features
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -78,3 +87,25 @@ class TestTracedPretrain:
         assert {"pretrain.pretrain", "pretrain.materialize_subgraphs",
                 "pretrain.inner_maximize"} <= recorded
         assert tracer.totals["pretrain.ascent.attempts"] > 0
+
+
+class TestTracedPromptTune:
+    def test_records_the_loss_and_backward_of_every_epoch(self):
+        tracing = load_perfbench_module("tracing")
+        adaptation = importlib.import_module("tagsum.adapt")
+        encoder = HashTextEncoder(dim=6)
+        graph = attach_features(make_synthetic_tag(30, seed=1, graph_id="tgt"), encoder)
+        config = GraphEncoderConfig(layers=1, hidden=8, heads=2, positional_dim=3, text_dim=6)
+        labels = build_label_prompts(CLASS_KEYWORDS, CLASS_DESCRIPTIONS, LABEL_TEMPLATE, encoder)
+        tracer = tracing.Tracer()
+        with tracer.installed():
+            result = adaptation.prompt_tune(
+                ParamStore.initialize(config, seed=0), config, graph,
+                make_few_shot_split(graph, shots=2, seed=0), labels, epochs=2,
+                sampler_cfg=SamplerConfig(node_budget=5, max_steps=40))
+        recorded = [span[0] for span in tracer.spans]
+        assert recorded.count("adapt.prompt_tune") == 1
+        assert recorded.count("losses.supervised_contrastive_loss_tensor") == 2
+        assert recorded.count("autodiff.backward") == 2
+        assert tracer.totals["autodiff.tensors_created"] > 0
+        assert len(result.losses) == 2

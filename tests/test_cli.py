@@ -23,6 +23,7 @@ from tagsum.cli import (
 from tagsum.encoder import CHECKPOINT_MAGIC
 from tagsum.errors import ValidationError
 from tagsum.graphs import TextAttributedGraph, save_graph
+from tagsum.pretrain import AdamW
 from tagsum.synthetic import (
     CLASS_DESCRIPTIONS,
     CLASS_KEYWORDS,
@@ -811,3 +812,19 @@ class TestMainNeverRaises:
         units = _valid_units(command, scratch, inputs, [fault]) + [fault]
         code = main([command, *(token for unit in units for token in unit)])
         _assert_json_error(code, capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command, flag", [("pretrain", "--pretrain.temperature"),
+                                               ("tune", "--adapt.temperature")])
+    def test_nan_temperature_is_rejected_before_the_first_step(
+            self, inputs, scratch, command, flag, capsys, monkeypatch):
+        def step(self, grads):
+            raise AssertionError("an optimizer step was taken")
+
+        monkeypatch.setattr(AdamW, "step", step)
+        fault = (flag, "NaN")
+        units = _valid_units(command, scratch, inputs, [fault]) + [fault]
+        code = main([command, *(token for unit in units for token in unit)])
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION, err
+        assert json.loads(err.strip().splitlines()[-1])["error"] == (
+            "temperature must be positive")

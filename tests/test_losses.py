@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import tagsum.autodiff as ad
 from tagsum.autodiff import Tensor
 from tagsum.errors import ValidationError
+from tagsum.gradcheck import central_difference
 from tagsum.losses import (
     alignment_uniformity,
     contrastive_loss,
@@ -15,23 +17,11 @@ from tagsum.losses import (
     supervised_contrastive_loss_tensor,
 )
 
+from reference import composed_contrastive_loss, composed_supervised_contrastive_loss
+
 
 def unit_rows(a):
     return a / np.linalg.norm(a, axis=1, keepdims=True)
-
-
-def composed_loss(h, u, temperature):
-    """The contrastive loss built from elementwise tape ops, as it was
-    before it became one op with a closed-form backward."""
-    batch = h.data.shape[0]
-    h_sq = ad.tsum(ad.mul(h, h), axis=1, keepdims=True)
-    u_sq = ad.reshape(ad.tsum(ad.mul(u, u), axis=1, keepdims=True), (1, batch))
-    dists = ad.sub(ad.add(h_sq, u_sq), ad.mul(h @ ad.transpose(u, (1, 0)), ad.as_tensor(2.0)))
-    sims = ad.mul(dists, ad.as_tensor(-1.0 / temperature))
-    diag = ad.tsum(ad.mul(sims, Tensor(np.eye(batch))), axis=1)
-    rows = ad.tmean(ad.sub(ad.logsumexp(sims, axis=1), diag))
-    cols = ad.tmean(ad.sub(ad.logsumexp(ad.transpose(sims, (1, 0)), axis=1), diag))
-    return ad.mul(ad.add(rows, cols), ad.as_tensor(0.5))
 
 
 class TestContrastiveLoss:
@@ -71,7 +61,7 @@ class TestContrastiveLoss:
             u = unit_rows(rng.normal(size=(batch, dim)))
             value, dh, du = contrastive_loss(h, u, temperature)
             ht, ut = Tensor(h, requires_grad=True), Tensor(u, requires_grad=True)
-            reference = composed_loss(ht, ut, temperature)
+            reference = composed_contrastive_loss(ht, ut, temperature)
             reference.backward()
             assert value == reference.item()
             assert np.max(np.abs(dh - ht.grad)) <= 1e-12
@@ -83,8 +73,9 @@ class TestContrastiveLoss:
 
     def test_nonpositive_temperature_rejected(self):
         h = unit_rows(np.random.default_rng(0).normal(size=(2, 3)))
-        with pytest.raises(ValidationError):
-            contrastive_loss(h, h, 0.0)
+        for temperature in (0.0, float("nan")):
+            with pytest.raises(ValidationError, match="temperature must be positive"):
+                contrastive_loss(h, h, temperature)
 
     def test_distance_cosine_equivalence(self):
         # On unit rows ||a-b||^2 = 2 - 2<a,b> to machine precision, so both
@@ -113,20 +104,11 @@ class TestContrastiveLoss:
         u = unit_rows(rng.normal(size=(3, 4)))
         _, dh, du = contrastive_loss(h, u, 0.2)
 
-        def value(hh, uu):
-            return contrastive_loss_tensor(Tensor(hh), Tensor(uu), 0.2).item()
+        def value():
+            return contrastive_loss_tensor(Tensor(h), Tensor(u), 0.2).item()
 
-        step = 1e-6
-        for (target, grad) in ((h, dh), (u, du)):
-            fd = np.zeros_like(target)
-            for i in range(target.shape[0]):
-                for j in range(target.shape[1]):
-                    plus = target.copy(); plus[i, j] += step
-                    minus = target.copy(); minus[i, j] -= step
-                    if target is h:
-                        fd[i, j] = (value(plus, u) - value(minus, u)) / (2 * step)
-                    else:
-                        fd[i, j] = (value(h, plus) - value(h, minus)) / (2 * step)
+        for target, grad in ((h, dh), (u, du)):
+            fd = central_difference(value, target, 1e-6)
             np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-8)
 
 
@@ -178,3 +160,49 @@ class TestSupervisedContrastive:
             z, np.array([0, 1, 2, 0]), label_emb, 0.1)
         loss.backward()
         assert np.any(z.grad != 0)
+
+    def test_records_one_tape_node(self):
+        rng = np.random.default_rng(3)
+        z = Tensor(unit_rows(rng.normal(size=(4, 5))), requires_grad=True)
+        loss = supervised_contrastive_loss_tensor(
+            z, np.array([0, 1, 1, 2]), unit_rows(rng.normal(size=(3, 5))), 0.1)
+        assert loss._parents == (z,)
+
+    def test_nonpositive_temperature_rejected(self):
+        label_emb = unit_rows(np.random.default_rng(0).normal(size=(2, 4)))
+        for temperature in (0.0, float("nan")):
+            with pytest.raises(ValidationError, match="temperature must be positive"):
+                supervised_contrastive_loss_tensor(Tensor(label_emb), np.array([0, 1]),
+                                                   label_emb, temperature)
+
+    @pytest.mark.parametrize("labels, width, match", [
+        (np.array([0, 1]), 3, "one width"),
+        (np.array([0.0, 1.0]), 4, "integers, got float64"),
+        (np.array([[0], [1]]), 4, r"of shape \(2, 1\)"),
+    ])
+    def test_malformed_label_inputs_rejected(self, labels, width, match):
+        label_emb = unit_rows(np.random.default_rng(0).normal(size=(2, width)))
+        z = Tensor(unit_rows(np.random.default_rng(1).normal(size=(2, 4))))
+        with pytest.raises(ValidationError, match=match):
+            supervised_contrastive_loss_tensor(z, labels, label_emb, 0.1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), batch=st.integers(1, 16), num_classes=st.integers(1, 4),
+           temperature=st.sampled_from([0.05, 0.1, 1.0]), seed=st.integers(0, 2**32 - 1))
+    def test_one_op_matches_the_composed_loss(self, data, batch, num_classes, temperature,
+                                              seed):
+        # Labels drawn freely give anchors with and without a same-class partner.
+        labels = np.array(data.draw(st.lists(st.integers(0, num_classes - 1),
+                                             min_size=batch, max_size=batch)))
+        rng = np.random.default_rng(seed)
+        z = unit_rows(rng.normal(size=(batch, 6)))
+        label_emb = unit_rows(rng.normal(size=(num_classes, 6)))
+        fused = Tensor(z, requires_grad=True)
+        loss = supervised_contrastive_loss_tensor(fused, labels, label_emb, temperature)
+        loss.backward()
+        composed = Tensor(z, requires_grad=True)
+        reference = composed_supervised_contrastive_loss(composed, labels, label_emb,
+                                                         temperature)
+        reference.backward()
+        assert loss.item() == reference.item()
+        assert np.max(np.abs(fused.grad - composed.grad)) <= 1e-12

@@ -474,10 +474,9 @@ def prompt_tune(
 
     # The towers enter the tape as constants sharing the store's arrays, so
     # backward computes no tower gradient and leaves the store's slots alone.
-    frozen = ParamStore({name: Tensor(t.data) for name, t in store.tensors.items()})
-    sigma = Tensor(np.zeros(config.text_dim))
-    optimizer = AdamW({"sigma": sigma},
-                      OptimizerConfig(lr=lr, weight_decay=weight_decay))
+    frozen = ParamStore(store.shapes, store.data, trainable=False)
+    sigma, sigma_grad = np.zeros(config.text_dim), np.zeros(config.text_dim)
+    optimizer = AdamW(sigma, sigma_grad, OptimizerConfig(lr=lr, weight_decay=weight_decay))
     # Fresh subgraph draws per epoch keep sigma from overfitting one sample
     # of each shot's neighborhood: epoch e walks on its own stream seed.
     shots = len(split.train_ids)
@@ -492,11 +491,12 @@ def prompt_tune(
         # sigma also lands on padded slots, which the encoder ignores; its
         # gradient is the feature gradient summed over subgraphs and slots.
         z, x = encode_batch(frozen, config, batch,
-                            Tensor(batch.features + sigma.data, requires_grad=True))
+                            Tensor(batch.features + sigma, requires_grad=True))
         loss = supervised_contrastive_loss_tensor(
             z, train_labels, labels.embeddings, temperature)
         loss.backward()
-        optimizer.step({"sigma": x.grad.sum(axis=(0, 1))})
+        np.sum(x.grad, axis=(0, 1), out=sigma_grad)
+        optimizer.step()
         losses.append(loss.item())
 
     # Both accuracies score the same subgraphs: walked and built once.
@@ -506,14 +506,14 @@ def prompt_tune(
     zero_acc = float(_correct(store, config, graph, labels, test_batches,
                               split.test_ids).mean())
     tuned_acc = float(_correct(store, config, graph, labels, test_batches,
-                               split.test_ids, sigma.data).mean())
+                               split.test_ids, sigma).mean())
 
     checksum_after = store.checksum()
     if text_encoder is not None:
         checksum_after += ":" + text_encoder.state_checksum()
 
     return PromptTuneResult(
-        prompt=PromptVector(values=sigma.data.copy()),
+        prompt=PromptVector(values=sigma.copy()),
         tuned_accuracy=tuned_acc,
         zero_shot_accuracy=zero_acc,
         losses=losses,

@@ -71,10 +71,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    def zero_grad(self):
-        if self.grad is not None:
-            self.grad[...] = 0.0
-
     def item(self) -> float:
         return float(self.data)
 

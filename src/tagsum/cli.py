@@ -282,6 +282,15 @@ def _require_path(cfg: dict, key: str) -> str:
     return value
 
 
+def _read_graph(cfg: dict, run: RunDir):
+    """The ``--graph`` file; every stage needs at least one node."""
+    path = run.record_input(_require_path(cfg, "graph"))
+    graph = load_graph(path)
+    if graph.num_nodes == 0:
+        raise ValidationError(f"graph {path} has no nodes")
+    return graph
+
+
 def _num_seeds(cfg: dict, graph) -> int:
     """How many seeds, from node 0 on, a corpus command asks for: every node
     when ``corpus.num_seeds`` is unset."""
@@ -294,7 +303,7 @@ def _num_seeds(cfg: dict, graph) -> int:
 
 
 def cmd_sample(cfg: dict, run: RunDir) -> int:
-    graph = load_graph(run.record_input(_require_path(cfg, "graph")))
+    graph = _read_graph(cfg, run)
     sampler = _sampler_config(cfg)
     schema: GraphMLSchema = DOMAIN_SCHEMAS[cfg["corpus"]["domain"]]
     seeds = range(min(_num_seeds(cfg, graph), graph.num_nodes))
@@ -310,7 +319,7 @@ def cmd_sample(cfg: dict, run: RunDir) -> int:
 
 
 def cmd_gen_corpus(cfg: dict, run: RunDir) -> int:
-    graph = load_graph(run.record_input(_require_path(cfg, "graph")))
+    graph = _read_graph(cfg, run)
     c = cfg["corpus"]
     schema = DOMAIN_SCHEMAS[c["domain"]]
     seeds = range(_num_seeds(cfg, graph))
@@ -337,7 +346,7 @@ def cmd_pretrain(cfg: dict, run: RunDir) -> int:
     p = cfg["pretrain"]
     if p["epochs"] < 1:                        # the library allows 0: a checkpoint of the init
         raise ValidationError(f"pretrain.epochs must be >= 1, got {p['epochs']}")
-    graph = load_graph(run.record_input(_require_path(cfg, "graph")))
+    graph = _read_graph(cfg, run)
     pairs = corpus_mod.read_pairs(run.record_input(_require_path(cfg, "pairs")))
     text_encoder = _text_encoder(cfg)
     graph = attach_features(graph, text_encoder)
@@ -361,7 +370,7 @@ def _load_eval_inputs(cfg: dict, run: RunDir):
     store, enc_config, _ = load_checkpoint(
         run.record_input(_require_path(cfg, "checkpoint")))
     text_encoder = _text_encoder(cfg)
-    graph = load_graph(run.record_input(_require_path(cfg, "graph")))
+    graph = _read_graph(cfg, run)
     graph = attach_features(graph, text_encoder)
     return store, enc_config, text_encoder, graph
 

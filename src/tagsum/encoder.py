@@ -10,8 +10,8 @@ same unit sphere. A minibatch is encoded on one tape as a zero-padded,
 masked batch; a single subgraph is a batch of one.
 
 Positional encodings are concatenated to the node features at the input
-projection. Parameters live in a ``ParamStore`` of named float64 tensors,
-each with one gradient slot.
+projection. Parameters live in a ``ParamStore``: named float64 tensors
+that are views into one flat data buffer and one flat gradient buffer.
 
 On the tape a forward is 2 + 2 * layers nodes. Each is one op whose
 forward and hand-written backward run in numpy (rows(a) flattens the batch
@@ -168,27 +168,43 @@ def preset_total_parameter_count(name: str, **kwargs) -> int:
 
 
 class ParamStore:
-    """Named float64 parameter tensors, each with one gradient slot."""
+    """Named float64 parameter tensors over one flat data buffer and one flat
+    gradient buffer, laid out in the order of ``shapes``: each tensor's
+    ``data`` and ``grad`` are views into ``self.data`` and ``self.grad``, so
+    backward accumulates into the flat gradient in place and the optimizer
+    updates the flat data in place. A store built with ``trainable=False``
+    has no gradient buffer; its tensors enter a tape as constants."""
 
-    def __init__(self, tensors: dict[str, Tensor]):
-        self.tensors = tensors
+    def __init__(self, shapes: dict[str, tuple[int, ...]], data: np.ndarray | None = None,
+                 trainable: bool = True):
+        self.shapes = shapes
+        sizes = [math.prod(shape) for shape in shapes.values()]
+        self.data = np.zeros(sum(sizes)) if data is None else data
+        self.grad = np.zeros_like(self.data) if trainable else None
+        self.tensors: dict[str, Tensor] = {}
+        start = 0
+        for (name, shape), size in zip(shapes.items(), sizes):
+            end = start + size
+            tensor = Tensor(self.data[start:end].reshape(shape))
+            if trainable:
+                tensor.requires_grad = True
+                tensor.grad = self.grad[start:end].reshape(shape)
+            self.tensors[name] = tensor
+            start = end
 
     @classmethod
     def initialize(cls, config: GraphEncoderConfig, seed: int = 0) -> "ParamStore":
         """Uniform init scaled by 1/sqrt(fan_in) for weights; zeros for biases;
         ones for norm gains. Deterministic given the seed."""
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-        tensors = {}
-        for name, shape in parameter_shapes(config).items():
+        store = cls(parameter_shapes(config))
+        for name, tensor in store.tensors.items():
             if name.endswith(".weight"):
-                bound = 1.0 / np.sqrt(shape[0])
-                data = rng.uniform(-bound, bound, size=shape)
+                bound = 1.0 / np.sqrt(tensor.data.shape[0])
+                tensor.data[...] = rng.uniform(-bound, bound, size=tensor.data.shape)
             elif name.endswith(".gain"):
-                data = np.ones(shape)
-            else:
-                data = np.zeros(shape)
-            tensors[name] = Tensor(data, requires_grad=True)
-        return cls(tensors)
+                tensor.data[...] = 1.0
+        return store
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
@@ -197,20 +213,16 @@ class ParamStore:
         return sorted(self.tensors)
 
     def zero_grads(self) -> None:
-        for tensor in self.tensors.values():
-            tensor.zero_grad()
-
-    def gradients(self) -> dict[str, np.ndarray]:
-        return {name: self.tensors[name].grad.copy() for name in self.names()}
+        self.grad[...] = 0.0
 
     def parameter_count(self) -> int:
-        return sum(t.data.size for t in self.tensors.values())
+        return self.data.size
 
     def checksum(self) -> str:
         digest = hashlib.sha256()
         for name in self.names():
             digest.update(name.encode())
-            digest.update(np.ascontiguousarray(self.tensors[name].data).tobytes())
+            digest.update(self.tensors[name].data.tobytes())
         return digest.hexdigest()
 
 
@@ -241,13 +253,6 @@ class PaddedBatch:
     def __len__(self) -> int:
         return len(self.sizes)
 
-    def take(self, rows) -> "PaddedBatch":
-        """The subgraphs at ``rows``, in that order, padded to their own n_max."""
-        sizes = self.sizes[rows]
-        n = int(sizes.max())
-        return PaddedBatch(self.features[rows, :n], self.positional[rows, :n],
-                           self.neighbor_mean[rows, :n, :n], sizes)
-
 
 def pad_batch(config: GraphEncoderConfig, subgraphs: list[EgoSubgraph]) -> PaddedBatch:
     """Stack subgraphs into one zero-padded batch."""
@@ -262,6 +267,25 @@ def pad_batch(config: GraphEncoderConfig, subgraphs: list[EgoSubgraph]) -> Padde
         features[i, :k], positional[i, :k] = sub.features, sub.positional
         adjacency[i, :k, :k] = sub.adjacency_matrix()
     return PaddedBatch(features, positional, degree_normalized(adjacency), sizes)
+
+
+def subgraph_structure(
+    graph: TextAttributedGraph,
+    node_sets,
+    excluded,
+    positional_dim: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(neighbor_mean, positional, sizes)`` of the subgraphs induced on
+    ``node_sets`` (sorted ids, as ``rwr_batch`` returns them), padded to
+    their largest size: the fields of ``subgraph_batch`` that do not hold
+    features. A subgraph's values do not depend on the padding width."""
+    sizes = np.array([len(ids) for ids in node_sets])
+    b, n = len(node_sets), int(sizes.max())
+    which, local_u, local_v = induced_edges(graph, node_sets, excluded)
+    adjacency = np.zeros((b, n, n))
+    adjacency[which, local_u, local_v] = adjacency[which, local_v, local_u] = 1.0
+    neighbor_mean = degree_normalized(adjacency)
+    return neighbor_mean, batched_rwpe(neighbor_mean, sizes, positional_dim), sizes
 
 
 def subgraph_batch(
@@ -282,16 +306,11 @@ def subgraph_batch(
     if graph.features is None or graph.features.shape[1] != config.text_dim:
         shape = None if graph.features is None else graph.features.shape
         raise ShapeError(f"graph features: expected (n, {config.text_dim}), got {shape}")
-    sizes = np.array([len(ids) for ids in node_sets])
-    b, n = len(node_sets), int(sizes.max())
-    real = np.arange(n) < sizes[:, None]
-    features = np.zeros((b, n, config.text_dim))
+    neighbor_mean, positional, sizes = subgraph_structure(graph, node_sets, excluded,
+                                                          config.positional_dim)
+    real = np.arange(neighbor_mean.shape[1]) < sizes[:, None]
+    features = np.zeros(real.shape + (config.text_dim,))
     features[real] = graph.features[np.concatenate(node_sets)]
-    which, local_u, local_v = induced_edges(graph, node_sets, excluded)
-    adjacency = np.zeros((b, n, n))
-    adjacency[which, local_u, local_v] = adjacency[which, local_v, local_u] = 1.0
-    neighbor_mean = degree_normalized(adjacency)
-    positional = batched_rwpe(neighbor_mean, sizes, config.positional_dim)
     return PaddedBatch(features, positional, neighbor_mean, sizes)
 
 
@@ -579,18 +598,18 @@ def load_checkpoint(path) -> tuple[ParamStore, GraphEncoderConfig, dict]:
     metadata = header.get("metadata", {})
     if not isinstance(metadata, dict):
         raise ValidationError("malformed checkpoint header: metadata is not an object")
-    tensors = {}
+    end = offset
     for name, shape in shapes.items():
         size = math.prod(shape) * 8
-        if offset + size > len(raw):
+        if end + size > len(raw):
             raise ValidationError(f"truncated checkpoint: tensor {name!r} needs "
-                                  f"{size} bytes, {len(raw) - offset} present")
-        data = np.frombuffer(raw[offset:offset + size], dtype="<f8").reshape(shape)
-        tensors[name] = Tensor(data.copy(), requires_grad=True)
-        offset += size
-    if offset != len(raw):
-        raise ValidationError(f"checkpoint has {len(raw) - offset} trailing bytes")
-    return ParamStore(tensors), config, metadata
+                                  f"{size} bytes, {len(raw) - end} present")
+        end += size
+    if end != len(raw):
+        raise ValidationError(f"checkpoint has {len(raw) - end} trailing bytes")
+    # The blobs follow each other in file order, as the store lays them out.
+    data = np.frombuffer(raw, dtype="<f8", offset=offset).astype(np.float64)
+    return ParamStore(shapes, data), config, metadata
 
 
 def _header_config(raw_config) -> GraphEncoderConfig:

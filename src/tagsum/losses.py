@@ -104,7 +104,8 @@ def supervised_contrastive_loss_tensor(
     For anchor i the candidate set is every label sentence plus every other
     anchor; positives are the anchor's own class sentence and same-class
     anchors. The logits are S = [z E^T, z z^T] / temperature (all rows
-    unit-norm, so cosine similarities), each anchor's self column masked.
+    unit-norm, so cosine similarities), each anchor's self column masked
+    with -inf, which holds at any temperature.
     With the positive mask P and per-anchor positive counts c,
     dL/dS = (softmax_rows(S) - P / c) / B, so
     dL/dz = (dS_E E + (dS_z + dS_z^T) z) / temperature.
@@ -130,7 +131,7 @@ def supervised_contrastive_loss_tensor(
     rows = np.arange(batch)
     logits = np.concatenate([(zd @ label_embeddings.T) * inv_t, (zd @ zd.T) * inv_t],
                             axis=1)                                   # (B, C + B)
-    logits[rows, num_classes + rows] -= 1e9        # no anchor is its own candidate
+    logits[rows, num_classes + rows] = -np.inf     # no anchor is its own candidate
 
     positives = np.zeros((batch, num_classes + batch))
     positives[rows, labels] = 1.0
@@ -141,7 +142,9 @@ def supervised_contrastive_loss_tensor(
     e = np.exp(logits - shift)
     total = e.sum(axis=1, keepdims=True)
     log_prob = logits - (np.log(total) + shift)
-    loss = np.sum((log_prob * positives).sum(axis=1) * (-1.0 / counts)) * (1.0 / batch)
+    # Only positives are summed: the self column's -inf never meets a 0 weight.
+    positive_sum = np.where(positives > 0.0, log_prob, 0.0).sum(axis=1)
+    loss = np.sum(positive_sum * (-1.0 / counts)) * (1.0 / batch)
 
     def backward(grad):
         ds = (e / total - positives / counts[:, None]) * (grad * inv_t / batch)

@@ -1,8 +1,8 @@
 """Frozen sentence-level text encoders.
 
 Two interchangeable implementations sit behind the same interface, whose
-one path is ``encode_texts(texts)``, an (n, dim) array of unit rows;
-``encode(text)`` is a batch of one.
+one path is ``encode_texts(texts)``, an (n, dim) array of unit rows; one
+text is ``encode_texts([text])[0]``.
 
 * ``HashTextEncoder`` — deterministic bag-of-token hashing. Each token's
   vector is drawn from a PCG64 seeded by the token's SHA-256 digest, so the
@@ -129,9 +129,6 @@ class HashTextEncoder:
             sums[rows] += self._vectors[ids[starts[rows] + k]]
         return _unit_rows(sums / lengths[:, None])
 
-    def encode(self, text: str) -> Embedding:
-        return Embedding(self.encode_texts([text])[0])
-
     def state_checksum(self) -> str:
         # The encoder has no trainable state; its identity is (impl, dim).
         return hashlib.sha256(f"hash:{self.dim}".encode()).hexdigest()
@@ -229,9 +226,6 @@ class TableTextEncoder:
             raise ValidationError(
                 f"text not present in embedding table (sha256 {missing[:12]}...)")
         return _unit_rows(np.array([self._table[key] for key in keys]).reshape(-1, self.dim))
-
-    def encode(self, text: str) -> Embedding:
-        return Embedding(self.encode_texts([text])[0])
 
     def state_checksum(self) -> str:
         digest = hashlib.sha256()

@@ -1,8 +1,9 @@
 """Frozen references that the vectorized code in ``tagsum`` is tested
 against. Nothing here may change: the tests require exact equality with the
-scalar loops and the per-seed corpus builder, and agreement within 1e-12
-with ``query_major_mixing``, the encoder's attention sublayer before it went
-key-major.
+scalar loops, the per-seed corpus builder, the dict-sum inner loop, the
+concatenating optimizer and the padded pair batch, and agreement within
+1e-12 with ``query_major_mixing``, the encoder's attention sublayer before
+it went key-major.
 
 The composed-op oracle is the generic tape ops (``add``, ``sub``, ``mul``,
 ``tsum``, ``tmean``, ``transpose``, ``exp``, ``log``, ``logsumexp``) and the
@@ -22,8 +23,11 @@ import numpy as np
 import tagsum.autodiff as ad
 from tagsum.autodiff import Tensor, as_tensor
 from tagsum.corpus import split_node_text
+from tagsum.encoder import PaddedBatch, encode_batch, subgraph_batch
 from tagsum.errors import ValidationError
 from tagsum.graphs import TextAttributedGraph, induced_subgraph, rwr_batch
+from tagsum.losses import contrastive_loss_tensor
+from tagsum.pretrain import InnerLoopResult, ascent_direction, block_norms, project_block
 from tagsum.prompts import render_summary_prompt
 from tagsum.synthetic import _NODE_VOCAB, CLASS_KEYWORDS
 
@@ -172,6 +176,94 @@ def loop_adamw_step(optimizer_state: dict, tensors: dict, grads: dict, lr: float
         v_hat = v / (1 - beta2 ** t)
         data = tensors[name]
         data -= lr * (m_hat / (np.sqrt(v_hat) + 1e-8) + weight_decay * data)
+
+
+class ConcatAdamW:
+    """``pretrain.AdamW`` before it ran in place: one update per step over the
+    concatenation of named arrays (sorted names), scattered back by name."""
+
+    def __init__(self, tensors: dict, lr: float, weight_decay: float):
+        self.tensors, self.lr, self.weight_decay = tensors, lr, weight_decay
+        self.step_count = 0
+        self._names = sorted(tensors)
+        self._ends = np.cumsum([tensors[name].data.size for name in self._names]).tolist()
+        self.m = np.zeros(self._ends[-1])
+        self.v = np.zeros_like(self.m)
+
+    def step(self, grads: dict) -> None:
+        beta1, beta2 = 0.9, 0.999
+        self.step_count += 1
+        t = self.step_count
+        g = np.concatenate([grads[name].ravel() for name in self._names])
+        data = np.concatenate([self.tensors[name].data.ravel() for name in self._names])
+        self.m = beta1 * self.m + (1 - beta1) * g
+        self.v = beta2 * self.v + (1 - beta2) * (g * g)
+        m_hat = self.m / (1 - beta1 ** t)
+        v_hat = self.v / (1 - beta2 ** t)
+        update = self.lr * (m_hat / (np.sqrt(v_hat) + 1e-8) + self.weight_decay * data)
+        for name, start, end in zip(self._names, [0] + self._ends, self._ends):
+            target = self.tensors[name].data
+            target -= update[start:end].reshape(target.shape)
+
+
+def dict_sum_inner_maximize(store, config, batch, summary_embs, pert, temperature):
+    """``pretrain.inner_maximize`` before the flat gradient buffer: every
+    pass zeroes the store's gradients and copies them out by name, the
+    copies are summed name by name, and each sum is divided by the step
+    count. Returns an ``InnerLoopResult`` whose gradients are those copies."""
+    steps = pert.inner_steps if pert.epsilon > 0.0 else 1
+    delta = np.zeros_like(batch.features)
+    skipped = 0
+    max_norm = 0.0
+    for m in range(steps):
+        leaf = Tensor(batch.features + delta, requires_grad=True)
+        h, _ = encode_batch(store, config, batch, leaf)
+        loss = contrastive_loss_tensor(h, Tensor(summary_embs), temperature)
+        for tensor in store.tensors.values():
+            tensor.grad[...] = 0.0
+        loss.backward()
+        grads = {name: store[name].grad.copy() for name in store.names()}
+        final_loss, x_grad = loss.item(), leaf.grad
+        if m == 0:
+            first_loss, h_clean, accum = final_loss, h.data.copy(), grads
+        else:
+            accum = {name: accum[name] + g for name, g in grads.items()}
+        skipped += int(np.sum(block_norms(x_grad, pert.norm_p) == 0.0))
+        delta = project_block(delta + pert.alpha * ascent_direction(x_grad, pert.norm_p),
+                              pert.epsilon, pert.norm_p)
+        norms = block_norms(delta, pert.norm_p)
+        max_norm = max(max_norm, float(norms.max()))
+    return InnerLoopResult(
+        gradients={name: g / steps for name, g in accum.items()},
+        first_loss=first_loss, final_loss=final_loss,
+        clean_embeddings=h_clean, delta_blocks=delta, delta_norms=norms,
+        max_block_norm=max_norm, skipped_zero_grad_steps=skipped,
+    )
+
+
+def padded_materialize(pairs, graphs, sampler_cfg, config):
+    """``pretrain.materialize_subgraphs`` before the node-id batch: every
+    pair's features copied into one padded (P, n_max, text_dim) batch, one
+    ``subgraph_batch`` per source graph."""
+    groups = {}
+    for row, pair in enumerate(pairs):
+        groups.setdefault(pair.graph_id, []).append(row)
+    parts = []
+    for graph_id, rows in groups.items():
+        node_sets = rwr_batch(graphs[graph_id], [pairs[i].seed_id for i in rows],
+                              [pairs[i].sampler_seed for i in rows], sampler_cfg, None)
+        parts.append((rows, subgraph_batch(config, graphs[graph_id], node_sets, None)))
+    n = max(part.features.shape[1] for _, part in parts)
+    out = PaddedBatch(np.zeros((len(pairs), n, config.text_dim)),
+                      np.zeros((len(pairs), n, config.positional_dim)),
+                      np.zeros((len(pairs), n, n)), np.zeros(len(pairs), dtype=np.int64))
+    for rows, part in parts:
+        k = part.features.shape[1]
+        out.features[rows, :k] = part.features
+        out.positional[rows, :k] = part.positional
+        out.neighbor_mean[rows, :k, :k] = part.neighbor_mean
+        out.sizes[rows] = part.sizes
+    return out
 
 
 def loop_auc(scores, truth) -> float:
@@ -421,3 +513,28 @@ def composed_supervised_contrastive_loss(z: Tensor, labels, label_embeddings,
     log_prob = sub(logits, logsumexp(logits, axis=1, keepdims=True))
     per_anchor = mul(tsum(mul(log_prob, Tensor(positives)), axis=1), Tensor(-1.0 / counts))
     return tmean(per_anchor)
+
+
+def subtracted_mask_supervised_loss(z: np.ndarray, labels, label_embeddings: np.ndarray,
+                                    temperature: float) -> tuple[float, np.ndarray]:
+    """``losses.supervised_contrastive_loss_tensor`` when it masked each
+    anchor's self column by subtracting 1e9: (loss, dL/dz). Below a
+    temperature of about 1e-9 the logits outgrow that mask."""
+    labels = np.asarray(labels)
+    batch, num_classes = z.shape[0], label_embeddings.shape[0]
+    inv_t = 1.0 / temperature
+    rows = np.arange(batch)
+    logits = np.concatenate([(z @ label_embeddings.T) * inv_t, (z @ z.T) * inv_t], axis=1)
+    logits[rows, num_classes + rows] -= 1e9
+    positives = np.zeros((batch, num_classes + batch))
+    positives[rows, labels] = 1.0
+    positives[:, num_classes:] = (labels[:, None] == labels) & ~np.eye(batch, dtype=bool)
+    counts = positives.sum(axis=1)
+    shift = logits.max(axis=1, keepdims=True)
+    e = np.exp(logits - shift)
+    total = e.sum(axis=1, keepdims=True)
+    log_prob = logits - (np.log(total) + shift)
+    loss = np.sum((log_prob * positives).sum(axis=1) * (-1.0 / counts)) * (1.0 / batch)
+    ds = (e / total - positives / counts[:, None]) * (inv_t / batch)
+    ds_label, ds_anchor = ds[:, :num_classes], ds[:, num_classes:]
+    return float(loss), ds_label @ label_embeddings + (ds_anchor + ds_anchor.T) @ z

@@ -813,11 +813,45 @@ class TestMainNeverRaises:
         code = main([command, *(token for unit in units for token in unit)])
         _assert_json_error(code, capsys.readouterr().err)
 
+    @staticmethod
+    def odd_content(case, inputs, root):
+        """The units of an input that parses but holds odd content."""
+        if case == "graph with no nodes":
+            (root / "empty").mkdir(exist_ok=True)
+            (root / "empty" / "graph.tsv").write_text("0\n", encoding="utf-8")
+            return [("--graph", str(root / "empty" / "graph.tsv"))]
+        if case == "seed outside its graph":
+            records = [json.loads(line) for line in
+                       Path(inputs["--pairs"]).read_text(encoding="utf-8").splitlines()]
+            records[1]["seed_id"] = 40                 # the graph has nodes 0..39
+            (root / "outside.jsonl").write_text(
+                "".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+            return [("--pairs", str(root / "outside.jsonl"))]
+        if case == "label asset lacks a class":
+            asset = json.loads(Path(inputs["--labels"]).read_text(encoding="utf-8"))
+            asset["classes"] = asset["classes"][:-1]
+            (root / "short_labels.json").write_text(json.dumps(asset), encoding="utf-8")
+            return [("--labels", str(root / "short_labels.json"))]
+        return [("--text_encoder.dim", "16")]         # the checkpoint's text_dim is 8
+
+    @pytest.mark.parametrize("command, case", [
+        *((command, "graph with no nodes") for command in sorted(BASE_UNITS)
+          if "--graph" in INPUT_FLAGS[command]),
+        ("pretrain", "seed outside its graph"),
+        ("eval-nc", "label asset lacks a class"), ("tune", "label asset lacks a class"),
+        *((command, "checkpoint text_dim differs") for command in ("eval-nc", "eval-lp", "tune")),
+    ])
+    def test_odd_content_exits_2_or_3_with_json(self, inputs, scratch, command, case, capsys):
+        faults = self.odd_content(case, inputs, scratch)
+        units = _valid_units(command, scratch, inputs, faults) + faults
+        code = main([command, *(token for unit in units for token in unit)])
+        _assert_json_error(code, capsys.readouterr().err)
+
     @pytest.mark.parametrize("command, flag", [("pretrain", "--pretrain.temperature"),
                                                ("tune", "--adapt.temperature")])
     def test_nan_temperature_is_rejected_before_the_first_step(
             self, inputs, scratch, command, flag, capsys, monkeypatch):
-        def step(self, grads):
+        def step(self):
             raise AssertionError("an optimizer step was taken")
 
         monkeypatch.setattr(AdamW, "step", step)

@@ -23,6 +23,7 @@ from tagsum.encoder import (
     mixing_sublayer,
     pad_batch,
     parameter_count,
+    parameter_shapes,
     preset_config,
     preset_total_parameter_count,
     save_checkpoint,
@@ -125,16 +126,14 @@ class TestPaddedBatch:
         z, x = encode_batch(store, CFG, pad_batch(CFG, subs))
         store.zero_grads()
         contrastive_loss_tensor(z, Tensor(summaries), 0.1).backward()
-        batched = store.gradients()
+        batched = store.grad.copy()
 
         rows = [encode_graph_tensor(store, CFG, sub)[0] for sub in subs]
         for i, row in enumerate(rows):
             assert np.max(np.abs(z.data[i] - row.data[0])) <= 1e-12
         store.zero_grads()
         contrastive_loss_tensor(ad.concat(rows, axis=0), Tensor(summaries), 0.1).backward()
-        for name, grad in store.gradients().items():
-            np.testing.assert_allclose(batched[name], grad, rtol=0, atol=1e-12,
-                                       err_msg=name)
+        np.testing.assert_allclose(batched, store.grad, rtol=0, atol=1e-12)
         for i, sub in enumerate(subs):
             assert np.all(x.grad[i, sub.num_nodes:] == 0.0)
         assert x.grad.shape == (len(subs), 8, CFG.text_dim)
@@ -150,9 +149,8 @@ class TestKeyMajorAttention:
         subs = [random_subgraph(n, cfg, seed=20 + n) for n in (1, 3, 16)]
         batch = pad_batch(cfg, subs)
         # Random values in every slot, biases and norm affine included.
-        store = ParamStore({name: Tensor(rng.normal(scale=0.5, size=t.data.shape),
-                                         requires_grad=True)
-                            for name, t in ParamStore.initialize(cfg, seed=5).tensors.items()})
+        store = ParamStore(parameter_shapes(cfg),
+                           rng.normal(scale=0.5, size=parameter_count(cfg)))
         h = Tensor(rng.normal(size=(len(subs), 16, cfg.hidden)), requires_grad=True)
         grad = rng.normal(size=h.data.shape)
 
@@ -300,6 +298,42 @@ class TestParamStore:
     def test_count_matches_shapes(self):
         store = ParamStore.initialize(CFG, seed=0)
         assert store.parameter_count() == parameter_count(CFG)
+
+    @staticmethod
+    def assert_views_tile_the_buffers(store, order):
+        start = 0
+        for name in order:
+            tensor = store[name]
+            end = start + tensor.data.size
+            assert np.shares_memory(tensor.data, store.data), name
+            assert np.shares_memory(tensor.grad, store.grad), name
+            assert tensor.data.ctypes.data == store.data[start:end].ctypes.data, name
+            assert tensor.grad.ctypes.data == store.grad[start:end].ctypes.data, name
+            start = end
+        assert start == store.data.size == store.grad.size
+
+    def test_initialized_tensors_are_views_of_the_flat_buffers(self):
+        store = ParamStore.initialize(CFG, seed=3)
+        self.assert_views_tile_the_buffers(store, parameter_shapes(CFG))
+        # The draws of one generator, weight by weight in parameter_shapes order.
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(3)))
+        for name, shape in parameter_shapes(CFG).items():
+            if name.endswith(".weight"):
+                bound = 1.0 / np.sqrt(shape[0])
+                want = rng.uniform(-bound, bound, size=shape)
+            else:
+                want = np.full(shape, 1.0 if name.endswith(".gain") else 0.0)
+            assert store[name].data.tobytes() == want.tobytes(), name
+
+    def test_loaded_tensors_are_views_of_the_flat_buffers(self, tmp_path):
+        store = ParamStore.initialize(CFG, seed=3)
+        save_checkpoint(tmp_path / "ck.bin", store, CFG)
+        loaded, _, _ = load_checkpoint(tmp_path / "ck.bin")
+        self.assert_views_tile_the_buffers(loaded, store.names())    # file order
+        for name in store.names():
+            assert loaded[name].data.tobytes() == store[name].data.tobytes(), name
+        loaded.grad[...] = 1.0
+        assert all(np.all(loaded[name].grad == 1.0) for name in loaded.names())
 
 
 class TestScalePresets:

@@ -17,7 +17,11 @@ from tagsum.losses import (
     supervised_contrastive_loss_tensor,
 )
 
-from reference import composed_contrastive_loss, composed_supervised_contrastive_loss
+from reference import (
+    composed_contrastive_loss,
+    composed_supervised_contrastive_loss,
+    subtracted_mask_supervised_loss,
+)
 
 
 def unit_rows(a):
@@ -206,3 +210,39 @@ class TestSupervisedContrastive:
         reference.backward()
         assert loss.item() == reference.item()
         assert np.max(np.abs(fused.grad - composed.grad)) <= 1e-12
+
+    def test_self_mask_holds_at_tiny_temperatures(self):
+        # Four unit anchors, two of each class. The loss scales as 1/temperature;
+        # a finite self mask of -1e9 gave 8.31e9 at 1e-10, where each
+        # anchor's own similarity of 1e10 outgrew it.
+        rng = np.random.default_rng(0)
+        z, label_emb = unit_rows(rng.normal(size=(4, 6))), unit_rows(rng.normal(size=(2, 6)))
+        labels = np.array([0, 0, 1, 1])
+        losses = {}
+        for temperature in (1e-3, 1e-8, 1e-10):
+            anchors = Tensor(z, requires_grad=True)
+            loss = supervised_contrastive_loss_tensor(anchors, labels, label_emb, temperature)
+            loss.backward()
+            assert np.all(np.isfinite(anchors.grad))
+            losses[temperature] = loss.item()
+        assert losses[1e-10] == pytest.approx(4.2371936526e9, rel=1e-10)
+        assert losses[1e-3] == pytest.approx(423.71936526, rel=1e-10)
+        assert losses[1e-10] == pytest.approx(1e2 * losses[1e-8], rel=1e-10)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), batch=st.integers(1, 16), num_classes=st.integers(1, 4),
+           temperature=st.sampled_from([0.05, 0.1, 1.0]), seed=st.integers(0, 2**32 - 1))
+    def test_ordinary_temperatures_keep_the_subtracted_mask_bits(
+            self, data, batch, num_classes, temperature, seed):
+        labels = np.array(data.draw(st.lists(st.integers(0, num_classes - 1),
+                                             min_size=batch, max_size=batch)))
+        rng = np.random.default_rng(seed)
+        z = unit_rows(rng.normal(size=(batch, 6)))
+        label_emb = unit_rows(rng.normal(size=(num_classes, 6)))
+        anchors = Tensor(z, requires_grad=True)
+        loss = supervised_contrastive_loss_tensor(anchors, labels, label_emb, temperature)
+        loss.backward()
+        want_loss, want_grad = subtracted_mask_supervised_loss(z, labels, label_emb,
+                                                               temperature)
+        assert loss.item() == want_loss
+        assert anchors.grad.tobytes() == want_grad.tobytes()

@@ -2,11 +2,23 @@
 
 import csv
 import dataclasses
+import hashlib
+import importlib
+import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tagsum
 from tagsum.autodiff import Tensor
 from tagsum.corpus import GraphSummaryPair
 from tagsum.encoder import (
@@ -37,7 +49,15 @@ from tagsum.pretrain import (
 from tagsum.synthetic import make_synthetic_pairs, make_synthetic_tag
 from tagsum.textenc import HashTextEncoder, attach_features
 
-from reference import loop_adamw_step
+from reference import (
+    ConcatAdamW,
+    dict_sum_inner_maximize,
+    loop_adamw_step,
+    padded_materialize,
+)
+
+# The package re-exports the function under the module's name.
+pretrain_module = importlib.import_module("tagsum.pretrain")
 
 CFG = GraphEncoderConfig(layers=1, hidden=8, heads=2, positional_dim=3, text_dim=6)
 SAMPLER = SamplerConfig(node_budget=5, max_steps=40)
@@ -49,7 +69,7 @@ def small_task():
     graph = attach_features(make_synthetic_tag(30, seed=1, graph_id="src"), enc)
     pairs = make_synthetic_pairs(graph, range(12))
     subs = materialize_subgraphs(pairs, {"src": graph}, SAMPLER, CFG)
-    summaries = np.vstack([enc.encode(p.summary).vector for p in pairs])
+    summaries = enc.encode_texts([p.summary for p in pairs])
     return enc, graph, pairs, subs, summaries
 
 
@@ -140,6 +160,46 @@ class TestMaterializeSubgraphs:
                 assert a.dtype == b.dtype and a.shape == b.shape, name
                 assert a.tobytes() == b.tobytes(), name
 
+    @pytest.mark.parametrize("chunk", [5, 128])
+    @pytest.mark.parametrize("sources", ["one", "two"])
+    def test_gathered_features_equal_the_padded_batch(self, task, sources, chunk):
+        graphs, pairs = task
+        if sources == "one":
+            graphs = {"src": graphs["src"]}
+            pairs = [p for p in pairs if p.graph_id == "src"]
+        with mock.patch.object(pretrain_module, "INDUCE_CHUNK", chunk):
+            batch = materialize_subgraphs(pairs, graphs, self.SAMPLER, CFG)
+        want = padded_materialize(pairs, graphs, self.SAMPLER, CFG)
+        assert batch.ids.dtype == np.int32
+        assert np.all(batch.table[-1] == 0.0)
+        everything = batch.take(np.arange(len(pairs)))
+        for name in ("features", "positional", "neighbor_mean", "sizes"):
+            a, b = getattr(everything, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+        rows = np.random.default_rng(1).permutation(len(pairs))[:7]
+        n = int(want.sizes[rows].max())
+        assert batch.take(rows).features.tobytes() == want.features[rows, :n].tobytes()
+
+    def test_node_ids_bound_the_memory(self):
+        # 2,000 pairs at text_dim 384: a padded batch would hold 2,000 x n_max
+        # x 384 doubles of features; the node-id batch peaks far below that.
+        cfg = dataclasses.replace(CFG, text_dim=384, positional_dim=8)
+        graph = attach_features(make_synthetic_tag(400, seed=2, intra_edge_prob=0.05,
+                                                   graph_id="src"), HashTextEncoder(dim=384))
+        pairs = [GraphSummaryPair("src", i % 400, i // 400, "academic", "s", 1)
+                 for i in range(2000)]
+        sampler = SamplerConfig(node_budget=16, max_steps=256)
+        tracemalloc.start()
+        try:
+            batch = materialize_subgraphs(pairs, {"src": graph}, sampler, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        padded_features = len(pairs) * batch.ids.shape[1] * cfg.text_dim * 8
+        assert batch.ids.shape[1] == 16
+        assert peak < padded_features / 5, (peak, padded_features)
+
     def test_unknown_graph_rejected(self, task):
         graphs, pairs = task
         with pytest.raises(ValidationError, match="unknown graph 'other'"):
@@ -161,11 +221,12 @@ class TestInnerMaximize:
         result = inner_maximize(store, CFG, batch, summaries[:4], pert, 0.1)
         h, _ = encode_batch(store, CFG, batch)
         loss = contrastive_loss_tensor(h, Tensor(summaries[:4]), 0.1)
+        want = {name: result.gradients[name].copy() for name in store.names()}
         store.zero_grads()
         loss.backward()
         assert result.final_loss == loss.item()
-        for name, grad in store.gradients().items():
-            np.testing.assert_array_equal(result.gradients[name], grad)
+        for name in store.names():
+            np.testing.assert_array_equal(want[name], store[name].grad)
 
     def test_block_norms_bounded(self, small_task):
         _, _, _, subs, summaries = small_task
@@ -214,33 +275,145 @@ class TestInnerMaximize:
 
 class TestAdamW:
     def test_decoupled_decay_pulls_to_zero(self):
-        from tagsum.autodiff import Tensor
-
-        tensor = Tensor(np.array([10.0]), requires_grad=True)
-        optimizer = AdamW({"w": tensor}, OptimizerConfig(lr=0.1, weight_decay=0.5))
+        store = ParamStore({"w": (1,)}, np.array([10.0]))
+        optimizer = AdamW(store.data, store.grad, OptimizerConfig(lr=0.1, weight_decay=0.5))
         for _ in range(50):
-            optimizer.step({"w": np.zeros(1)})
-        assert abs(float(tensor.data[0])) < 1.0
+            optimizer.step()
+        assert abs(float(store["w"].data[0])) < 1.0
 
     def test_flat_update_equals_the_per_array_loop(self):
+        self.assert_update_equals_the_per_array_loop()
+
+    def test_blocks_may_split_any_array(self, monkeypatch):
+        monkeypatch.setattr(AdamW, "BLOCK", 7)
+        self.assert_update_equals_the_per_array_loop()
+
+    @staticmethod
+    def assert_update_equals_the_per_array_loop():
         rng = np.random.default_rng(0)
         shapes = {"b": (3,), "a.weight": (4, 5), "c": (2, 3, 2), "d": ()}
-        tensors = {name: Tensor(rng.normal(size=shape), requires_grad=True)
-                   for name, shape in shapes.items()}
-        loop = {name: t.data.copy() for name, t in tensors.items()}
-        optimizer = AdamW(tensors, OptimizerConfig(lr=3e-2, weight_decay=1e-2))
+        store = ParamStore(shapes, rng.normal(size=3 + 20 + 12 + 1))
+        loop = {name: t.data.copy() for name, t in store.tensors.items()}
+        optimizer = AdamW(store.data, store.grad, OptimizerConfig(lr=3e-2, weight_decay=1e-2))
         state = {}
         for t in range(1, 4):
             grads = {name: rng.normal(size=shape) for name, shape in shapes.items()}
-            optimizer.step(grads)
+            for name, grad in grads.items():
+                store[name].grad[...] = grad
+            optimizer.step()
             loop_adamw_step(state, loop, grads, 3e-2, 1e-2, t)
             for name in shapes:
-                assert tensors[name].data.tobytes() == loop[name].tobytes(), (t, name)
+                assert store[name].data.tobytes() == loop[name].tobytes(), (t, name)
 
     def test_metadata_defaults_match_published(self):
         cfg = OptimizerConfig()
         assert cfg.lr == 1e-5
         assert cfg.weight_decay == 1e-5
+
+
+class TestFlatAgainstReference:
+    """The in-place inner loop and optimizer step give the bits of the
+    dict-sum loop and the concatenating step they replaced."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**16), epsilon=st.sampled_from([0.0, 1e-3, 1e-2, 0.5]),
+           norm_p=st.sampled_from([2.0, float("inf")]), inner_steps=st.integers(1, 3),
+           temperature=st.sampled_from([0.1, 0.5]), weight_decay=st.sampled_from([0.0, 1e-2]),
+           draws=st.lists(st.lists(st.integers(0, 11), min_size=1, max_size=6, unique=True),
+                          min_size=1, max_size=3))
+    def test_inner_loop_and_step_match_the_dict_reference(
+            self, small_task, seed, epsilon, norm_p, inner_steps, temperature, weight_decay,
+            draws):
+        _, _, _, subs, summaries = small_task
+        pert = PerturbationState(epsilon=epsilon, norm_p=norm_p, inner_steps=inner_steps)
+        store, ref = ParamStore.initialize(CFG, seed), ParamStore.initialize(CFG, seed)
+        optimizer = AdamW(store.data, store.grad, OptimizerConfig(1e-2, weight_decay))
+        ref_optimizer = ConcatAdamW(ref.tensors, 1e-2, weight_decay)
+        for rows in draws:
+            batch = subs.take(rows)
+            got = inner_maximize(store, CFG, batch, summaries[rows], pert, temperature)
+            want = dict_sum_inner_maximize(ref, CFG, batch, summaries[rows], pert,
+                                           temperature)
+            assert (got.first_loss, got.final_loss, got.max_block_norm,
+                    got.skipped_zero_grad_steps) == (want.first_loss, want.final_loss,
+                                                     want.max_block_norm,
+                                                     want.skipped_zero_grad_steps)
+            for name in ("clean_embeddings", "delta_blocks", "delta_norms"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+            for name in store.names():
+                assert np.shares_memory(got.gradients[name], store.grad)
+                assert got.gradients[name].tobytes() == want.gradients[name].tobytes(), name
+            optimizer.step()
+            ref_optimizer.step(want.gradients)
+            for name in store.names():
+                assert store[name].data.tobytes() == ref[name].data.tobytes(), name
+
+
+class TestPinnedBits:
+    """Short toy runs reproduce the checkpoint and metrics bytes of the
+    per-array implementation. The digests were taken with numpy 2.4.6 on
+    scipy-openblas 0.3.31 (x86-64, Python 3.11); another numpy or BLAS build
+    may round differently and need its own."""
+
+    DIGESTS = {
+        1e-2: ("dacdda5f4cff5045e80c7aaff0531b240267a80eff9b16b21ee4088cee91ca45",
+               "92b8a8bd4f266920cc4f99226d6af6bca71f36aa3b6bd033a7af05bb65268c83"),
+        0.0: ("8e48b1a614aba90b5b3899a7a3aa0f894c22d0bff861ac446479e8ef1eb08c59",
+              "b9befaecdfe60027aaef4969dfcaa43ef9a93dfd005a435f61f0668883c96d8e"),
+    }
+
+    @pytest.mark.parametrize("epsilon", sorted(DIGESTS))
+    def test_toy_run_bytes(self, epsilon, tmp_path):
+        enc = HashTextEncoder(dim=24)
+        graph = attach_features(make_synthetic_tag(48, seed=7, graph_id="src"), enc)
+        cfg = GraphEncoderConfig(layers=2, hidden=32, heads=4, positional_dim=8, text_dim=24)
+        pretrain(make_synthetic_pairs(graph, range(48)), {"src": graph}, enc, cfg,
+                 OptimizerConfig(lr=5e-3, weight_decay=1e-5),
+                 PerturbationState(epsilon=epsilon, inner_steps=3), epochs=2, batch_size=16,
+                 seed=0, sampler_cfg=SamplerConfig(node_budget=8, max_steps=64),
+                 out_dir=tmp_path)
+        got = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                    for name in ("checkpoint.bin", "metrics.csv"))
+        assert got == self.DIGESTS[epsilon], f"pinned on numpy 2.4.6, running {np.__version__}"
+
+
+# Ten inner loops after one warm-up, in a fresh interpreter; prints the
+# minor page faults they took.
+FAULTS_SCRIPT = """
+import json, resource, sys
+import numpy as np
+from tagsum.encoder import GraphEncoderConfig, ParamStore
+from tagsum.graphs import SamplerConfig
+from tagsum.pretrain import PerturbationState, inner_maximize, materialize_subgraphs, pretrain
+from tagsum.synthetic import make_synthetic_pairs, make_synthetic_tag
+from tagsum.textenc import HashTextEncoder, attach_features
+cfg = GraphEncoderConfig(layers=2, hidden=32, heads=4, positional_dim=8, text_dim=24)
+sampler = SamplerConfig(node_budget=8, max_steps=64)
+enc = HashTextEncoder(24)
+graph = attach_features(make_synthetic_tag(64, seed=1, graph_id="src"), enc)
+pairs = make_synthetic_pairs(graph, range(64))
+pretrain(pairs[:4], {"src": graph}, enc, cfg, epochs=1, batch_size=4, sampler_cfg=sampler)
+batch = materialize_subgraphs(pairs, {"src": graph}, sampler, cfg).take(np.arange(16))
+summaries = enc.encode_texts([p.summary for p in pairs[:16]])
+store = ParamStore.initialize(cfg)
+pert = PerturbationState(epsilon=1e-2, inner_steps=3)
+inner_maximize(store, cfg, batch, summaries, pert, 0.1)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(10):
+    inner_maximize(store, cfg, batch, summaries, pert, 0.1)
+print(json.dumps(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc heap thresholds")
+def test_inner_passes_reuse_freed_memory():
+    # At glibc's default thresholds the 30 passes faulted their tape back in
+    # every time, about 9,500 minor faults; once pretrain has run, none.
+    src = str(Path(tagsum.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", FAULTS_SCRIPT], timeout=120,
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True)
+    assert done.returncode == 0, done.stderr.decode()
+    assert json.loads(done.stdout.decode().splitlines()[-1]) < 30
 
 
 class TestPretrainLoop:

@@ -22,34 +22,32 @@ from reference import loop_encode, token_vector
 
 class TestHashEncoder:
     def test_deterministic(self):
-        a = HashTextEncoder(dim=8).encode("graph learning rocks")
-        b = HashTextEncoder(dim=8).encode("graph learning rocks")
-        np.testing.assert_array_equal(a.vector, b.vector)
+        a = HashTextEncoder(dim=8).encode_texts(["graph learning rocks"])[0]
+        b = HashTextEncoder(dim=8).encode_texts(["graph learning rocks"])[0]
+        np.testing.assert_array_equal(a, b)
 
     def test_repeated_token_equals_single(self):
         enc = HashTextEncoder(dim=8)
-        np.testing.assert_allclose(enc.encode("a a").vector,
-                                   enc.encode("a").vector, atol=1e-15)
+        np.testing.assert_allclose(enc.encode_texts(["a a"])[0],
+                                   enc.encode_texts(["a"])[0], atol=1e-15)
 
     def test_output_unit_norm(self):
-        emb = HashTextEncoder(dim=16).encode("some words here")
-        assert emb.normalized
-        assert abs(np.linalg.norm(emb.vector) - 1.0) < 1e-12
+        row = HashTextEncoder(dim=16).encode_texts(["some words here"])[0]
+        assert abs(np.linalg.norm(row) - 1.0) < 1e-12
 
     def test_empty_text_rejected(self):
         with pytest.raises(ValidationError):
-            HashTextEncoder(dim=8).encode("   ")
+            HashTextEncoder(dim=8).encode_texts(["   "])
 
     def test_different_texts_differ(self):
         enc = HashTextEncoder(dim=32)
-        a = enc.encode("databases")
-        b = enc.encode("robotics")
-        assert np.linalg.norm(a.vector - b.vector) > 0.1
+        a, b = enc.encode_texts(["databases", "robotics"])
+        assert np.linalg.norm(a - b) > 0.1
 
     def test_checksum_stable(self):
         enc = HashTextEncoder(dim=8)
         before = enc.state_checksum()
-        enc.encode("prime the cache with tokens")
+        enc.encode_texts(["prime the cache with tokens"])
         assert enc.state_checksum() == before
 
 
@@ -57,13 +55,13 @@ class TestTableEncoder:
     def test_known_text(self):
         enc = TableTextEncoder.build(["hello", "world"],
                                      [[3.0, 4.0], [1.0, 0.0]])
-        np.testing.assert_allclose(enc.encode("hello").vector, [0.6, 0.8])
+        np.testing.assert_allclose(enc.encode_texts(["hello"])[0], [0.6, 0.8])
 
     def test_unknown_text_errors(self):
         enc = TableTextEncoder.build(["hello", "world"],
                                      [[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValidationError):
-            enc.encode("missing")
+            enc.encode_texts(["missing"])
 
     def test_file_round_trip(self, tmp_path):
         enc = TableTextEncoder.build(["alpha", "beta"],
@@ -71,8 +69,8 @@ class TestTableEncoder:
         path = tmp_path / "table.jsonl"
         enc.save(path)
         loaded = TableTextEncoder.from_file(path)
-        np.testing.assert_allclose(loaded.encode("alpha").vector,
-                                   enc.encode("alpha").vector)
+        np.testing.assert_allclose(loaded.encode_texts(["alpha"])[0],
+                                   enc.encode_texts(["alpha"])[0])
         assert loaded.state_checksum() == enc.state_checksum()
 
     def test_checksum_tracks_content(self):
@@ -102,7 +100,7 @@ class TestTableEncoder:
         vectors = np.eye(2)
         enc = TableTextEncoder.build(["a", "b"], vectors)
         vectors[0, 0] = 5.0
-        assert enc.encode("a").vector.tolist() == [1.0, 0.0]
+        assert enc.encode_texts(["a"])[0].tolist() == [1.0, 0.0]
         assert TableTextEncoder.build(["a"], [[2.0]]).dim == 1
 
 
@@ -198,7 +196,7 @@ class TestBatchEncodingAgainstLoop:
             lambda text: isinstance(rows_or_error(lambda: loop_encode(text, dim)), bytes), texts))
         assert enc.encode_texts(good).tobytes() == loop_rows(good, dim).tobytes()
         for text in good:
-            assert enc.encode(text).vector.tobytes() == loop_encode(text, dim).tobytes()
+            assert enc.encode_texts([text])[0].tobytes() == loop_encode(text, dim).tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(texts=TEXTS, dim=st.integers(1, 9))
@@ -247,5 +245,5 @@ class TestAttachFeatures:
         enc = HashTextEncoder(dim=8)
         out = attach_features(graph, enc)
         np.testing.assert_array_equal(out.features[0],
-                                      enc.encode("first text").vector)
+                                      enc.encode_texts(["first text"])[0])
         assert out.features.shape == (2, 8)

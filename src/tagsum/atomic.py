@@ -4,6 +4,7 @@ part of one."""
 from __future__ import annotations
 
 import contextlib
+import csv
 import os
 from pathlib import Path
 
@@ -31,3 +32,13 @@ def write_text(path, text: str) -> None:
     """Replace ``path`` with ``text`` in UTF-8, atomically (see ``replacing``)."""
     with replacing(path) as temp:
         temp.write_text(text, encoding="utf-8")
+
+
+def write_csv(path, columns, rows) -> None:
+    """Replace ``path`` with a CSV of the ``columns`` of each row dict, under a
+    header line, atomically. A row that lacks a column raises ``KeyError``
+    before ``path`` is touched."""
+    with replacing(path) as temp, open(temp, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.DictWriter(handle, fieldnames=columns)
+        writer.writeheader()
+        writer.writerows({column: row[column] for column in columns} for row in rows)

@@ -32,6 +32,7 @@ weight costs no matmul in backward. The kernels' backward formulas:
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 
 import numpy as np
@@ -238,12 +239,19 @@ def softmax(a) -> Tensor:
     return Tensor(out_data, _parents=(a,), _backward=backward)
 
 
+@functools.cache
+def _mean_column(width: int) -> np.ndarray:
+    """The read-only (width, 1) column of 1/width, built once per width."""
+    column = np.full((width, 1), 1.0 / width)
+    column.flags.writeable = False
+    return column
+
+
 def _row_mean(x: np.ndarray) -> np.ndarray:
     """Mean over the last axis, kept as a size-1 axis: one matmul of all rows
     against a 1/width column."""
     width = x.shape[-1]
-    column = np.full((width, 1), 1.0 / width)
-    return (x.reshape(-1, width) @ column).reshape(x.shape[:-1] + (1,))
+    return (x.reshape(-1, width) @ _mean_column(width)).reshape(x.shape[:-1] + (1,))
 
 
 def layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,

@@ -26,7 +26,7 @@ from .adapt import (
     make_few_shot_split,
     prompt_tune,
 )
-from .atomic import replacing, write_text
+from .atomic import write_csv, write_text
 from .encoder import (
     GraphEncoderConfig,
     load_checkpoint,
@@ -70,7 +70,6 @@ DEFAULT_CONFIG = {
     },
     "text_encoder": {
         "impl": "hash",
-        "dim": 16,
         "table_path": None,
     },
     "optimizer": {
@@ -264,14 +263,20 @@ def _sampler_config(cfg: dict) -> SamplerConfig:
                          max_steps=s["max_steps"], rng_seed=s["rng_seed"])
 
 
-def _text_encoder(cfg: dict):
+def _text_encoder(cfg: dict, text_dim: int):
+    """The configured text encoder, as wide as the graph encoder's
+    ``text_dim``; a table of another width is rejected."""
     t = cfg["text_encoder"]
     if t["impl"] == "hash":
-        return HashTextEncoder(dim=t["dim"])
+        return HashTextEncoder(dim=text_dim)
     if t["impl"] == "table":
         if not t["table_path"]:
             raise ValidationError("text_encoder.table_path required for table impl")
-        return TableTextEncoder.from_file(t["table_path"])
+        encoder = TableTextEncoder.from_file(t["table_path"])
+        if encoder.dim != text_dim:
+            raise ValidationError(f"text_encoder table vectors have dim {encoder.dim}, "
+                                  f"the graph encoder's text_dim is {text_dim}")
+        return encoder
     raise ValidationError(f"unknown text encoder impl {t['impl']!r}")
 
 
@@ -348,14 +353,15 @@ def cmd_pretrain(cfg: dict, run: RunDir) -> int:
         raise ValidationError(f"pretrain.epochs must be >= 1, got {p['epochs']}")
     graph = _read_graph(cfg, run)
     pairs = corpus_mod.read_pairs(run.record_input(_require_path(cfg, "pairs")))
-    text_encoder = _text_encoder(cfg)
+    enc_config = _encoder_config(cfg)
+    text_encoder = _text_encoder(cfg, enc_config.text_dim)
     graph = attach_features(graph, text_encoder)
     pert = None
     if p["epsilon"] != 0:                      # a negative or NaN epsilon fails the state's check
         pert = PerturbationState(epsilon=p["epsilon"], norm_p=float(p["norm_p"]),
                                  inner_steps=p["inner_steps"])
     result = pretrain(
-        pairs, {graph.graph_id: graph}, text_encoder, _encoder_config(cfg),
+        pairs, {graph.graph_id: graph}, text_encoder, enc_config,
         OptimizerConfig(lr=cfg["optimizer"]["lr"],
                         weight_decay=cfg["optimizer"]["weight_decay"]),
         pert, epochs=p["epochs"], batch_size=p["batch_size"], seed=cfg["seed"],
@@ -369,20 +375,13 @@ def cmd_pretrain(cfg: dict, run: RunDir) -> int:
 def _load_eval_inputs(cfg: dict, run: RunDir):
     store, enc_config, _ = load_checkpoint(
         run.record_input(_require_path(cfg, "checkpoint")))
-    text_encoder = _text_encoder(cfg)
+    text_encoder = _text_encoder(cfg, enc_config.text_dim)
     graph = _read_graph(cfg, run)
     graph = attach_features(graph, text_encoder)
     return store, enc_config, text_encoder, graph
 
 
-def _write_report_csv(path: Path, rows: list[dict]) -> None:
-    import csv
-
-    with replacing(path) as temp, open(temp, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.DictWriter(
-            handle, fieldnames=["dataset", "task", "shots", "seed", "metric", "value"])
-        writer.writeheader()
-        writer.writerows(rows)
+REPORT_COLUMNS = ("dataset", "task", "shots", "seed", "metric", "value")
 
 
 def cmd_eval_nc(cfg: dict, run: RunDir) -> int:
@@ -401,7 +400,7 @@ def cmd_eval_nc(cfg: dict, run: RunDir) -> int:
          "seed": r.seed, "metric": "accuracy", "value": r.value}
         for r in result.runs
     ]
-    _write_report_csv(run.path / "report.csv", rows)
+    write_csv(run.path / "report.csv", REPORT_COLUMNS, rows)
     print(f"zero-shot accuracy: {result.mean:.4f} +/- {result.std:.4f} "
           f"({len(result.runs)} runs)")
     return EXIT_OK
@@ -419,7 +418,7 @@ def cmd_eval_lp(cfg: dict, run: RunDir) -> int:
          "seed": r.seed, "metric": "auc", "value": r.value}
         for r in result.runs
     ]
-    _write_report_csv(run.path / "report.csv", rows)
+    write_csv(run.path / "report.csv", REPORT_COLUMNS, rows)
     print(f"link AUC: {result.mean:.4f} +/- {result.std:.4f} ({len(result.runs)} runs)")
     return EXIT_OK
 
@@ -453,7 +452,7 @@ def cmd_tune(cfg: dict, run: RunDir) -> int:
                      "shots": 0, "seed": seed, "metric": "accuracy",
                      "value": result.zero_shot_accuracy})
         tuned_values.append(result.tuned_accuracy)
-    _write_report_csv(run.path / "report.csv", rows)
+    write_csv(run.path / "report.csv", REPORT_COLUMNS, rows)
     print(f"tuned accuracy mean: {float(np.mean(tuned_values)):.4f} "
           f"({a['shots']}-shot, {a['runs']} seeds)")
     return EXIT_OK

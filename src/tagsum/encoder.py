@@ -11,7 +11,9 @@ masked batch; a single subgraph is a batch of one.
 
 Positional encodings are concatenated to the node features at the input
 projection. Parameters live in a ``ParamStore``: named float64 tensors
-that are views into one flat data buffer and one flat gradient buffer.
+that are views into one flat data buffer and one flat gradient buffer,
+laid out in sorted-name order. A checkpoint's blob is that data buffer, so
+a store keeps its flat bytes through a save and a load.
 
 On the tape a forward is 2 + 2 * layers nodes. Each is one op whose
 forward and hand-written backward run in numpy (rows(a) flattens the batch
@@ -43,9 +45,9 @@ import functools
 import hashlib
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -169,21 +171,22 @@ def preset_total_parameter_count(name: str, **kwargs) -> int:
 
 class ParamStore:
     """Named float64 parameter tensors over one flat data buffer and one flat
-    gradient buffer, laid out in the order of ``shapes``: each tensor's
-    ``data`` and ``grad`` are views into ``self.data`` and ``self.grad``, so
-    backward accumulates into the flat gradient in place and the optimizer
-    updates the flat data in place. A store built with ``trainable=False``
-    has no gradient buffer; its tensors enter a tape as constants."""
+    gradient buffer, laid out in sorted-name order (the checkpoint's) however
+    ``shapes`` is ordered: each tensor's ``data`` and ``grad`` are views into
+    ``self.data`` and ``self.grad``, so backward accumulates into the flat
+    gradient in place and the optimizer updates the flat data in place. A
+    store built with ``trainable=False`` has no gradient buffer; its tensors
+    enter a tape as constants."""
 
     def __init__(self, shapes: dict[str, tuple[int, ...]], data: np.ndarray | None = None,
                  trainable: bool = True):
-        self.shapes = shapes
-        sizes = [math.prod(shape) for shape in shapes.values()]
+        self.shapes = dict(sorted(shapes.items()))
+        sizes = [math.prod(shape) for shape in self.shapes.values()]
         self.data = np.zeros(sum(sizes)) if data is None else data
         self.grad = np.zeros_like(self.data) if trainable else None
         self.tensors: dict[str, Tensor] = {}
         start = 0
-        for (name, shape), size in zip(shapes.items(), sizes):
+        for (name, shape), size in zip(self.shapes.items(), sizes):
             end = start + size
             tensor = Tensor(self.data[start:end].reshape(shape))
             if trainable:
@@ -195,22 +198,24 @@ class ParamStore:
     @classmethod
     def initialize(cls, config: GraphEncoderConfig, seed: int = 0) -> "ParamStore":
         """Uniform init scaled by 1/sqrt(fan_in) for weights; zeros for biases;
-        ones for norm gains. Deterministic given the seed."""
+        ones for norm gains. Deterministic given the seed; the weights take
+        one generator's draws in ``parameter_shapes`` order."""
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-        store = cls(parameter_shapes(config))
-        for name, tensor in store.tensors.items():
+        shapes = parameter_shapes(config)
+        store = cls(shapes)
+        for name, shape in shapes.items():
             if name.endswith(".weight"):
-                bound = 1.0 / np.sqrt(tensor.data.shape[0])
-                tensor.data[...] = rng.uniform(-bound, bound, size=tensor.data.shape)
+                bound = 1.0 / np.sqrt(shape[0])
+                store[name].data[...] = rng.uniform(-bound, bound, size=shape)
             elif name.endswith(".gain"):
-                tensor.data[...] = 1.0
+                store[name].data[...] = 1.0
         return store
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
 
     def names(self) -> list[str]:
-        return sorted(self.tensors)
+        return list(self.shapes)
 
     def zero_grads(self) -> None:
         self.grad[...] = 0.0
@@ -219,11 +224,7 @@ class ParamStore:
         return self.data.size
 
     def checksum(self) -> str:
-        digest = hashlib.sha256()
-        for name in self.names():
-            digest.update(name.encode())
-            digest.update(self.tensors[name].data.tobytes())
-        return digest.hexdigest()
+        return hashlib.sha256(self.data).hexdigest()
 
 
 def _check_inputs(config: GraphEncoderConfig, sub: EgoSubgraph):
@@ -397,13 +398,16 @@ def mixing_sublayer(h: Tensor, batch: PaddedBatch, store: ParamStore, prefix: st
         def dqkv_params():                     # one matmul for all three weights
             return _rows(x).T @ dqkv, dqkv.sum(axis=0)
 
+        # The three biases share one gradient array: backward only adds it
+        # into each bias's own view.
+        dz_bias = functools.cache(lambda: dz_rows.sum(axis=0))
         thunks = {
             "local_self.weight": lambda: _rows(x).T @ dz_rows,
-            "local_self.bias": lambda: dz_rows.sum(axis=0),
+            "local_self.bias": dz_bias,
             "local_neigh.weight": lambda: _rows(neighbors).T @ dz_rows,
-            "local_neigh.bias": lambda: dz_rows.sum(axis=0),
+            "local_neigh.bias": dz_bias,
             "attn_out.weight": lambda: _rows(context).T @ dz_rows,
-            "attn_out.bias": lambda: dz_rows.sum(axis=0),
+            "attn_out.bias": dz_bias,
             "norm1.gain": lambda: _rows(grad * normed).sum(axis=0),
             "norm1.bias": lambda: _rows(grad).sum(axis=0),
         }
@@ -540,39 +544,32 @@ def encode_graph(
 
 def save_checkpoint(path, store: ParamStore, config: GraphEncoderConfig,
                     metadata: dict | None = None) -> None:
-    """Binary checkpoint: magic, version, JSON header, row-major float64 blobs.
+    """Binary checkpoint: magic, version, JSON header, then the store's flat
+    data buffer as little-endian float64, in the store's sorted-name order.
 
     Byte-deterministic for identical tensors and metadata, and written
     atomically (``atomic.replacing``).
     """
-    names = store.names()
     header = {
         "format_version": CHECKPOINT_VERSION,
-        "config": {
-            "layers": config.layers,
-            "hidden": config.hidden,
-            "heads": config.heads,
-            "positional_dim": config.positional_dim,
-            "text_dim": config.text_dim,
-        },
+        "config": dataclasses.asdict(config),
         "metadata": metadata or {},
-        "tensors": [
-            {"name": name, "shape": list(store[name].data.shape)} for name in names
-        ],
+        "tensors": [{"name": name, "shape": list(shape)}
+                    for name, shape in store.shapes.items()],
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with replacing(path) as temp, open(temp, "wb") as handle:
-        handle.write(CHECKPOINT_MAGIC)
-        handle.write(struct.pack("<I", len(blob)))
-        handle.write(blob)
-        for name in names:
-            handle.write(np.ascontiguousarray(store[name].data).astype("<f8").tobytes())
+        handle.write(CHECKPOINT_MAGIC + struct.pack("<I", len(blob)) + blob)
+        handle.write(store.data.astype("<f8", copy=False))
 
 
 def load_checkpoint(path) -> tuple[ParamStore, GraphEncoderConfig, dict]:
-    """Load a checkpoint; rejects unknown magic, mismatched versions, and
-    truncated or overlong files."""
-    raw = Path(path).read_bytes()
+    """Load a checkpoint; rejects unknown magic, mismatched versions, tensors
+    out of sorted-name order, and truncated or overlong files. The store's
+    data buffer wraps the file's blob, read once into a writable buffer."""
+    with open(path, "rb") as handle:
+        raw = bytearray(os.fstat(handle.fileno()).st_size)
+        handle.readinto(raw)
     if raw[:8] != CHECKPOINT_MAGIC:
         raise ValidationError("not a checkpoint file (bad magic)")
     if len(raw) < 12:
@@ -598,17 +595,11 @@ def load_checkpoint(path) -> tuple[ParamStore, GraphEncoderConfig, dict]:
     metadata = header.get("metadata", {})
     if not isinstance(metadata, dict):
         raise ValidationError("malformed checkpoint header: metadata is not an object")
-    end = offset
-    for name, shape in shapes.items():
-        size = math.prod(shape) * 8
-        if end + size > len(raw):
-            raise ValidationError(f"truncated checkpoint: tensor {name!r} needs "
-                                  f"{size} bytes, {len(raw) - end} present")
-        end += size
-    if end != len(raw):
-        raise ValidationError(f"checkpoint has {len(raw) - end} trailing bytes")
-    # The blobs follow each other in file order, as the store lays them out.
-    data = np.frombuffer(raw, dtype="<f8", offset=offset).astype(np.float64)
+    size = 8 * parameter_count(config)
+    if len(raw) - offset != size:
+        raise ValidationError(f"truncated or overlong checkpoint: tensors need {size} "
+                              f"bytes, {len(raw) - offset} present")
+    data = np.frombuffer(raw, dtype="<f8", offset=offset).astype(np.float64, copy=False)
     return ParamStore(shapes, data), config, metadata
 
 
@@ -624,7 +615,8 @@ def _header_config(raw_config) -> GraphEncoderConfig:
 
 
 def _header_shapes(entries, config: GraphEncoderConfig) -> dict[str, tuple[int, ...]]:
-    """Tensor names and shapes in file order; they must be the config's."""
+    """Tensor names and shapes in file order; they must be the config's, in
+    sorted-name order."""
     if not isinstance(entries, list):
         raise ValidationError("malformed checkpoint header: tensors is not a list")
     # Every layer owns tensors, so this bounds the shape enumeration below
@@ -640,4 +632,6 @@ def _header_shapes(entries, config: GraphEncoderConfig) -> dict[str, tuple[int, 
         shapes[entry["name"]] = tuple(entry["shape"])
     if len(shapes) != len(entries) or shapes != parameter_shapes(config):
         raise ValidationError("checkpoint tensor names or shapes do not match the config")
+    if list(shapes) != sorted(shapes):
+        raise ValidationError("checkpoint tensors are not in sorted-name order")
     return shapes

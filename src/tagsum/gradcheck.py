@@ -3,7 +3,8 @@
 Central differences with step 1e-5 on float64 are the independent oracle for
 the whole reverse-mode path: encoder parameters, input features, and each
 fused tape op on its own, the encoder's sublayers and the contrastive and
-supervised contrastive losses. The relative error of a tensor is the worst
+supervised contrastive losses. One function, ``check_gradients``, runs each
+case of one table: the whole encoder or one fused op. The relative error of a tensor is the worst
 entrywise |analytic - fd| / (max(|analytic|, |fd|) + 1e-5); the additive
 floor keeps near-zero gradients from amplifying the oracle's own roundoff,
 while real sign or scale errors still show up orders of magnitude above the
@@ -139,104 +140,82 @@ def _random_batch(config: GraphEncoderConfig, sizes: tuple[int, ...], seed: int)
     return subgraph_batch(config, graph, node_sets, None)
 
 
-def check_encoder_gradients(
-    config: GraphEncoderConfig,
-    num_nodes: int | tuple[int, ...] = 3,
-    seed: int = 0,
-    step: float = DEFAULT_STEP,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> dict[str, tuple[float, bool]]:
-    """FD-verify every parameter gradient and the input-feature gradient of a
-    scalar readout of the encoder; a tuple ``num_nodes`` encodes one padded
-    batch of subgraphs of those sizes, padded slots included."""
-    sizes = (num_nodes,) if isinstance(num_nodes, int) else tuple(num_nodes)
-    store = ParamStore.initialize(config, seed=seed)
-    batch = _random_batch(config, sizes, seed)
-    weights = np.random.default_rng(seed + 2).normal(size=(len(sizes), config.text_dim))
-    features = batch.features.copy()
-
-    def forward() -> float:
-        out, _ = encode_batch(store, config, batch, Tensor(features))
-        return float((out.data * weights).sum())
-
-    out, x_leaf = encode_batch(store, config, batch)
-    store.zero_grads()
-    out.backward(weights)
-
-    analytic = {name: store[name].grad.copy() for name in store.names()}
-    analytic["input.features"] = x_leaf.grad.copy()
-    numeric = {name: central_difference(forward, store[name].data, step)
-               for name in store.names()}
-    numeric["input.features"] = central_difference(forward, features, step)
-    return compare_gradients(analytic, numeric, tolerance)
-
-
 FUSED_OPS = ("input_projection", "mixing", "ffn", "readout", "contrastive_loss",
              "supervised_contrastive_loss")
 
 
-def check_fused_op_gradients(
-    op: str,
+def _cases(config: GraphEncoderConfig, store: ParamStore, batch: PaddedBatch,
+           rng: np.random.Generator, seed: int) -> dict:
+    """Case -> (inputs by report name, parameter names, a function of the input
+    tensors in that order). The encoder reads the batch's features, the
+    sublayers random hidden states, the losses (B, text_dim) unit rows; the
+    supervised loss scores them against two unit class rows."""
+    hidden = rng.normal(size=batch.features.shape[:2] + (config.hidden,))
+
+    def unit_rows(rows=len(batch), draw=rng):
+        a = draw.normal(size=(rows, config.text_dim))
+        return a / np.linalg.norm(a, axis=1, keepdims=True)
+
+    # The supervised loss draws from a stream of its own, which leaves every
+    # other case's draws alone. Anchors alternate between two classes: at
+    # three, two share a class and the middle one has no partner.
+    scl_rng = np.random.default_rng(seed + 3)
+    scl_anchors, scl_classes = unit_rows(draw=scl_rng), unit_rows(2, scl_rng)
+    scl_labels = np.arange(len(batch)) % 2
+    return {
+        "encoder": ({"input.features": batch.features}, store.names(),
+                    lambda x: encode_batch(store, config, batch, x)[0]),
+        "input_projection": ({"input_projection.x": batch.features},
+                             ("input.weight", "input.bias"),
+                             lambda x: input_projection(x, batch, store)),
+        "mixing": ({"mixing.h": hidden}, ["layer0." + n for n in MIXING_PARAMS],
+                   lambda h: mixing_sublayer(h, batch, store, "layer0.", config.heads)),
+        "ffn": ({"ffn.h": hidden}, ["layer0." + n for n in FFN_PARAMS],
+                lambda h: ffn_sublayer(h, store, "layer0.")),
+        "readout": ({"readout.h": hidden}, ("proj.weight", "proj.bias"),
+                    lambda h: readout(h, batch, store)),
+        "contrastive_loss": ({"contrastive_loss.h": unit_rows(),
+                              "contrastive_loss.u": unit_rows()}, (),
+                             lambda h, u: contrastive_loss_tensor(h, u, 0.1)),
+        "supervised_contrastive_loss": (
+            {"supervised_contrastive_loss.z": scl_anchors}, (),
+            lambda z: supervised_contrastive_loss_tensor(z, scl_labels, scl_classes, 0.1)),
+    }
+
+
+def check_gradients(
+    case: str,
     config: GraphEncoderConfig,
     sizes: tuple[int, ...] = (3, 1, 2),
     seed: int = 0,
     step: float = DEFAULT_STEP,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> dict[str, tuple[float, bool]]:
-    """FD-verify one fused tape op on its own: its parameter gradients and
-    the gradient of each of its inputs, for a random weighting of its output.
+    """FD-verify one case, ``"encoder"`` or one of ``FUSED_OPS``: its
+    parameter gradients and the gradient of each of its inputs, for a
+    random weighting of its output.
 
-    The op runs on a padded, masked batch of subgraphs of ``sizes``; the
-    weighting covers padded rows too, so the whole function is checked. The
-    losses take (len(sizes), text_dim) unit rows; the supervised one scores
-    them against two unit class rows."""
+    The case runs on a padded, masked batch of subgraphs of ``sizes``; the
+    weighting covers padded rows too, so the whole function is checked."""
     store = ParamStore.initialize(config, seed=seed)
     batch = _random_batch(config, sizes, seed)
     rng = np.random.default_rng(seed + 2)
-    hidden = rng.normal(size=batch.features.shape[:2] + (config.hidden,))
-
-    def unit_rows(rows=len(sizes), draw=rng):
-        a = draw.normal(size=(rows, config.text_dim))
-        return a / np.linalg.norm(a, axis=1, keepdims=True)
-
-    # The supervised loss draws from a stream of its own, which leaves every
-    # other case's draws alone. Anchors alternate between two classes: at
-    # the default three, two share a class and the middle one has no partner.
-    scl_rng = np.random.default_rng(seed + 3)
-    scl_anchors, scl_classes = unit_rows(draw=scl_rng), unit_rows(2, scl_rng)
-    scl_labels = np.arange(len(sizes)) % 2
-
-    cases = {
-        "input_projection": ({"x": batch.features.copy()}, ("input.weight", "input.bias"),
-                             lambda t: input_projection(t["x"], batch, store)),
-        "mixing": ({"h": hidden}, tuple("layer0." + n for n in MIXING_PARAMS),
-                   lambda t: mixing_sublayer(t["h"], batch, store, "layer0.", config.heads)),
-        "ffn": ({"h": hidden}, tuple("layer0." + n for n in FFN_PARAMS),
-                lambda t: ffn_sublayer(t["h"], store, "layer0.")),
-        "readout": ({"h": hidden}, ("proj.weight", "proj.bias"),
-                    lambda t: readout(t["h"], batch, store)),
-        "contrastive_loss": ({"h": unit_rows(), "u": unit_rows()}, (),
-                             lambda t: contrastive_loss_tensor(t["h"], t["u"], 0.1)),
-        "supervised_contrastive_loss": (
-            {"z": scl_anchors}, (),
-            lambda t: supervised_contrastive_loss_tensor(t["z"], scl_labels, scl_classes, 0.1)),
-    }
-    inputs, params, apply = cases[op]
-    leaves = {name: Tensor(a.copy(), requires_grad=True) for name, a in inputs.items()}
-    out = apply(leaves)
+    inputs, params, apply = _cases(config, store, batch, rng, seed)[case]
+    inputs = {name: a.copy() for name, a in inputs.items()}     # perturbed in place below
+    leaves = [Tensor(a, requires_grad=True) for a in inputs.values()]
+    out = apply(*leaves)
     weights = rng.normal(size=out.data.shape)
     store.zero_grads()
     out.backward(weights)
 
     def forward() -> float:
-        return float((apply({name: Tensor(a) for name, a in inputs.items()}).data
-                      * weights).sum())
+        return float((apply(*map(Tensor, inputs.values())).data * weights).sum())
 
     analytic = {name: store[name].grad.copy() for name in params}
     numeric = {name: central_difference(forward, store[name].data, step) for name in params}
-    for name, a in inputs.items():
-        analytic[f"{op}.{name}"] = leaves[name].grad.copy()
-        numeric[f"{op}.{name}"] = central_difference(forward, a, step)
+    for (name, a), leaf in zip(inputs.items(), leaves):
+        analytic[name] = leaf.grad
+        numeric[name] = central_difference(forward, a, step)
     return compare_gradients(analytic, numeric, tolerance)
 
 
@@ -257,16 +236,11 @@ def run_grad_check(
     ]
     for trial in range(trials):
         config = configs[trial % len(configs)]
-        label = f"encoder(L={config.layers},D={config.hidden},trial={trial})"
-        report.add(label, check_encoder_gradients(config, num_nodes=3,
-                                                  seed=seed + trial, step=step,
-                                                  tolerance=tolerance))
+        report.add(f"encoder(L={config.layers},D={config.hidden},trial={trial})",
+                   check_gradients("encoder", config, (3,), seed + trial, step, tolerance))
     config = configs[-1]
     report.add(f"encoder(L={config.layers},D={config.hidden},padded batch)",
-               check_encoder_gradients(config, num_nodes=(3, 2), seed=seed,
-                                       step=step, tolerance=tolerance))
+               check_gradients("encoder", config, (3, 2), seed, step, tolerance))
     for op in FUSED_OPS:
-        report.add(f"fused {op}",
-                   check_fused_op_gradients(op, config, seed=seed, step=step,
-                                            tolerance=tolerance))
+        report.add(f"fused {op}", check_gradients(op, config, (3, 1, 2), seed, step, tolerance))
     return report

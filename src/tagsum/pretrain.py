@@ -11,14 +11,13 @@ so that case runs a single pass.
 
 from __future__ import annotations
 
-import csv
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .atomic import replacing
+from .atomic import write_csv
 from .autodiff import Tensor
 from .corpus import INDUCE_CHUNK, GraphSummaryPair
 from .encoder import (
@@ -149,7 +148,7 @@ class AdamW:
 
 @dataclass
 class InnerLoopResult:
-    gradients: dict[str, np.ndarray]     # views of the store's gradient buffer
+    # The averaged parameter gradients stay in the store's gradient buffer.
     first_loss: float
     final_loss: float
     clean_embeddings: np.ndarray         # graph batch at delta = 0, pre-update
@@ -215,7 +214,6 @@ def inner_maximize(
     store.grad /= steps
 
     return InnerLoopResult(
-        gradients={name: tensor.grad for name, tensor in store.tensors.items()},
         first_loss=first_loss, final_loss=final_loss,
         clean_embeddings=h_clean, delta_blocks=delta, delta_norms=norms,
         max_block_norm=max_norm, skipped_zero_grad_steps=skipped,
@@ -344,14 +342,6 @@ def _retain_freed_memory() -> None:
             mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
 
 
-def write_metrics_csv(path, rows: list[dict]) -> None:
-    with replacing(path) as temp, open(temp, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.DictWriter(handle, fieldnames=METRICS_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row[k] for k in METRICS_COLUMNS})
-
-
 def pretrain(
     pairs: list[GraphSummaryPair],
     graphs: dict[str, TextAttributedGraph],
@@ -400,6 +390,21 @@ def pretrain(
     out_dir = Path(out_dir) if out_dir is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
+    # epsilon = 0 is canonicalized to "no adversary" so that run's checkpoint
+    # bytes match a run with the adversary disabled outright.
+    active = perturbation.epsilon > 0.0
+    metadata = {
+        "lr": optimizer_config.lr,
+        "weight_decay": optimizer_config.weight_decay,
+        "epochs": epochs,
+        "batch_size": batch_size,
+        "seed": seed,
+        "temperature": temperature,
+        "epsilon": perturbation.epsilon if active else 0.0,
+        "inner_steps": perturbation.inner_steps if active else 0,
+        "norm_p": perturbation.norm_p if active else 2.0,
+        "text_encoder_checksum": checksum_before,
+    }
 
     metrics: list[dict] = []
     delta_trace: list[np.ndarray] = []
@@ -440,11 +445,7 @@ def pretrain(
 
         if out_dir is not None and checkpoint_every and (epoch + 1) % checkpoint_every == 0:
             save_checkpoint(out_dir / f"checkpoint_epoch{epoch + 1}.bin",
-                            store, graph_config, _metadata(optimizer_config,
-                                                           perturbation, epochs,
-                                                           batch_size, seed,
-                                                           temperature,
-                                                           checksum_before))
+                            store, graph_config, metadata)
 
     checksum_after = text_encoder.state_checksum()
     if checksum_after != checksum_before:
@@ -457,28 +458,7 @@ def pretrain(
     )
     if out_dir is not None:
         path = out_dir / "checkpoint.bin"
-        save_checkpoint(path, store, graph_config,
-                        _metadata(optimizer_config, perturbation, epochs,
-                                  batch_size, seed, temperature, checksum_before))
-        write_metrics_csv(out_dir / "metrics.csv", metrics)
+        save_checkpoint(path, store, graph_config, metadata)
+        write_csv(out_dir / "metrics.csv", METRICS_COLUMNS, metrics)
         result.checkpoint_path = path
     return result
-
-
-def _metadata(optimizer_config, perturbation, epochs, batch_size, seed,
-              temperature, text_checksum) -> dict:
-    # epsilon = 0 is canonicalized to "no adversary" so that run's checkpoint
-    # bytes match a run with the adversary disabled outright.
-    active = perturbation.epsilon > 0.0
-    return {
-        "lr": optimizer_config.lr,
-        "weight_decay": optimizer_config.weight_decay,
-        "epochs": epochs,
-        "batch_size": batch_size,
-        "seed": seed,
-        "temperature": temperature,
-        "epsilon": perturbation.epsilon if active else 0.0,
-        "inner_steps": perturbation.inner_steps if active else 0,
-        "norm_p": perturbation.norm_p if active else 2.0,
-        "text_encoder_checksum": text_checksum,
-    }

@@ -210,7 +210,7 @@ def dict_sum_inner_maximize(store, config, batch, summary_embs, pert, temperatur
     """``pretrain.inner_maximize`` before the flat gradient buffer: every
     pass zeroes the store's gradients and copies them out by name, the
     copies are summed name by name, and each sum is divided by the step
-    count. Returns an ``InnerLoopResult`` whose gradients are those copies."""
+    count. Returns an ``InnerLoopResult`` and those averages by name."""
     steps = pert.inner_steps if pert.epsilon > 0.0 else 1
     delta = np.zeros_like(batch.features)
     skipped = 0
@@ -234,11 +234,10 @@ def dict_sum_inner_maximize(store, config, batch, summary_embs, pert, temperatur
         norms = block_norms(delta, pert.norm_p)
         max_norm = max(max_norm, float(norms.max()))
     return InnerLoopResult(
-        gradients={name: g / steps for name, g in accum.items()},
         first_loss=first_loss, final_loss=final_loss,
         clean_embeddings=h_clean, delta_blocks=delta, delta_norms=norms,
         max_block_norm=max_norm, skipped_zero_grad_steps=skipped,
-    )
+    ), {name: g / steps for name, g in accum.items()}
 
 
 def padded_materialize(pairs, graphs, sampler_cfg, config):

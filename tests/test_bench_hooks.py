@@ -10,9 +10,11 @@ supervised loss, ``Tensor.backward`` and ``Tensor.__init__`` are still
 reached under the names the tracer wraps.
 """
 
+import dataclasses
 import functools
 import importlib
 import importlib.util
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -54,6 +56,18 @@ class TestTracerTargets:
         for op in tracing.TIMED_OPS:
             assert callable(getattr(autodiff, op, None)), op
         assert "__init__" in autodiff.Tensor.__dict__
+
+    def test_inner_loop_keeps_what_the_observer_reads(self):
+        # Tracer._observe_inner reads inner_maximize's batch and perturbation
+        # by position and four fields of its result.
+        pretraining = importlib.import_module("tagsum.pretrain")
+        parameters = list(inspect.signature(pretraining.inner_maximize).parameters.values())
+        assert [p.name for p in parameters] == ["store", "config", "batch", "summary_embs",
+                                                "pert", "temperature"]
+        assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in parameters)
+        fields = {f.name for f in dataclasses.fields(pretraining.InnerLoopResult)}
+        assert {"first_loss", "final_loss", "skipped_zero_grad_steps",
+                "max_block_norm"} <= fields
 
     def test_neighbors_is_a_cached_property(self):
         graphs = importlib.import_module("tagsum.graphs")

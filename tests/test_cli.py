@@ -20,9 +20,9 @@ from tagsum.cli import (
     DEFAULT_CONFIG, EXIT_GATE, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, _apply_dotted,
     COMMANDS, _expected_type, UNSET_TYPES, _merge, build_parser, main,
 )
-from tagsum.encoder import CHECKPOINT_MAGIC
+from tagsum.encoder import CHECKPOINT_MAGIC, GraphEncoderConfig, ParamStore, save_checkpoint
 from tagsum.errors import ValidationError
-from tagsum.graphs import TextAttributedGraph, save_graph
+from tagsum.graphs import TextAttributedGraph, load_graph, save_graph
 from tagsum.pretrain import AdamW
 from tagsum.synthetic import (
     CLASS_DESCRIPTIONS,
@@ -30,10 +30,10 @@ from tagsum.synthetic import (
     LABEL_TEMPLATE,
     make_synthetic_tag,
 )
+from tagsum.textenc import HashTextEncoder, TableTextEncoder
 
 SMALL = ["--encoder.layers", "1", "--encoder.hidden", "8", "--encoder.heads", "2",
          "--encoder.positional_dim", "3", "--encoder.text_dim", "8",
-         "--text_encoder.dim", "8",
          "--sampler.node_budget", "5", "--sampler.max_steps", "40"]
 
 
@@ -133,6 +133,14 @@ class TestEvalCli:
         assert code == EXIT_OK
         assert (out / "report.csv").exists()
 
+    def test_eval_lp_takes_the_text_width_from_the_checkpoint(self, workdir, tmp_path):
+        config = GraphEncoderConfig(layers=1, hidden=8, heads=2, positional_dim=3, text_dim=24)
+        save_checkpoint(tmp_path / "wide.bin", ParamStore.initialize(config), config)
+        code = main(["eval-lp", "--graph", str(workdir / "graph.tsv"),
+                     "--checkpoint", str(tmp_path / "wide.bin"), "--out", str(tmp_path / "lp"),
+                     "--adapt.runs", "1"])
+        assert code == EXIT_OK
+
     def test_tune(self, workdir, checkpoint):
         out = workdir / "tune"
         code = main(["tune", "--graph", str(workdir / "graph.tsv"),
@@ -155,7 +163,7 @@ class TestEndToEndCli:
 
         toy = ["--encoder.layers", "2", "--encoder.hidden", "32",
                "--encoder.heads", "4", "--encoder.positional_dim", "8",
-               "--encoder.text_dim", "24", "--text_encoder.dim", "24",
+               "--encoder.text_dim", "24",
                "--sampler.node_budget", "8", "--sampler.max_steps", "64"]
         source = make_synthetic_tag(200, seed=0, graph_id="src")
         save_graph(source, tmp_path / "src.tsv")
@@ -258,6 +266,23 @@ class TestErrors:
                          "--checkpoint", str(truncated),
                          "--out", str(tmp_path / f"out{cut}"), *SMALL])
             assert code == EXIT_VALIDATION
+
+    def test_checkpoint_tensors_out_of_sorted_order_is_validation_error(
+            self, workdir, checkpoint, tmp_path, capsys):
+        raw = checkpoint.read_bytes()
+        end = 12 + struct.unpack("<I", raw[8:12])[0]
+        header = json.loads(raw[12:end])
+        header["tensors"].reverse()
+        text = json.dumps(header).encode()
+        (tmp_path / "reordered.bin").write_bytes(
+            raw[:8] + struct.pack("<I", len(text)) + text + raw[end:])
+        code = main(["eval-lp", "--graph", str(workdir / "graph.tsv"),
+                     "--checkpoint", str(tmp_path / "reordered.bin"),
+                     "--out", str(tmp_path / "out"), *SMALL])
+        assert code == EXIT_VALIDATION
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error == {"error": "checkpoint tensors are not in sorted-name order",
+                         "code": EXIT_VALIDATION}
 
     def test_tune_without_runs_is_validation_error(self, workdir, checkpoint, tmp_path):
         code = main(["tune", "--graph", str(workdir / "graph.tsv"),
@@ -606,8 +631,8 @@ OUT_OF_RANGE = {
         ("--corpus.retries", "-1"), ("--corpus.max_in_flight", "0")],
     "pretrain": _EVERY + _SAMPLER + [
         ("--encoder.layers", "0"), ("--encoder.hidden", "0"), ("--encoder.heads", "3"),
-        ("--encoder.positional_dim", "0"), ("--encoder.text_dim", "5"),
-        ("--encoder.preset", "nope"), ("--text_encoder.dim", "0"),
+        ("--encoder.positional_dim", "0"), ("--encoder.text_dim", "0"),
+        ("--encoder.preset", "nope"), ("--encoder.heads", "0"),
         ("--text_encoder.impl", "nope"), ("--text_encoder.impl", "table"),
         ("--pretrain.epochs", "-1"), ("--pretrain.batch_size", "0"),
         ("--pretrain.temperature", "0"), ("--pretrain.epsilon", "-1"),
@@ -616,7 +641,7 @@ OUT_OF_RANGE = {
         ("--optimizer.lr", "-1"), ("--optimizer.lr", "NaN"), ("--optimizer.weight_decay", "-1")],
     "eval-nc": _EVERY + _SAMPLER + [
         ("--adapt.test_fraction", "0"), ("--adapt.test_fraction", "1.5"),
-        ("--adapt.runs", "0"), ("--shots", "2"), ("--text_encoder.dim", "5")],
+        ("--adapt.runs", "0"), ("--shots", "2"), ("--text_encoder.impl", "nope")],
     "eval-lp": _EVERY + _SAMPLER + [
         ("--adapt.link_test_fraction", "0"), ("--adapt.link_test_fraction", "1.5"),
         ("--adapt.runs", "0")],
@@ -832,7 +857,12 @@ class TestMainNeverRaises:
             asset["classes"] = asset["classes"][:-1]
             (root / "short_labels.json").write_text(json.dumps(asset), encoding="utf-8")
             return [("--labels", str(root / "short_labels.json"))]
-        return [("--text_encoder.dim", "16")]         # the checkpoint's text_dim is 8
+        # A table of every graph text, 16 wide; the checkpoint's text_dim is 8.
+        texts = load_graph(inputs["--graph"]).raw_text
+        TableTextEncoder.build(texts, HashTextEncoder(16).encode_texts(texts)).save(
+            root / "wide.jsonl")
+        return [("--text_encoder.impl", "table"),
+                ("--text_encoder.table_path", str(root / "wide.jsonl"))]
 
     @pytest.mark.parametrize("command, case", [
         *((command, "graph with no nodes") for command in sorted(BASE_UNITS)

@@ -38,6 +38,7 @@ from tagsum.graphs import (
     with_positional_encodings,
 )
 from tagsum.losses import contrastive_loss_tensor
+from tagsum.pretrain import AdamW, OptimizerConfig
 from tagsum.synthetic import make_synthetic_tag
 
 from conftest import TOY_ENCODER, sample_batch
@@ -314,7 +315,7 @@ class TestParamStore:
 
     def test_initialized_tensors_are_views_of_the_flat_buffers(self):
         store = ParamStore.initialize(CFG, seed=3)
-        self.assert_views_tile_the_buffers(store, parameter_shapes(CFG))
+        self.assert_views_tile_the_buffers(store, sorted(parameter_shapes(CFG)))
         # The draws of one generator, weight by weight in parameter_shapes order.
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(3)))
         for name, shape in parameter_shapes(CFG).items():
@@ -334,6 +335,23 @@ class TestParamStore:
             assert loaded[name].data.tobytes() == store[name].data.tobytes(), name
         loaded.grad[...] = 1.0
         assert all(np.all(loaded[name].grad == 1.0) for name in loaded.names())
+
+    def test_a_saved_and_loaded_store_has_the_same_flat_bytes(self, tmp_path):
+        store = ParamStore.initialize(CFG, seed=3)
+        save_checkpoint(tmp_path / "ck.bin", store, CFG)
+        loaded, _, _ = load_checkpoint(tmp_path / "ck.bin")
+        assert loaded.data.tobytes() == store.data.tobytes()
+        # One flat gradient drives AdamW over either store to the same bytes,
+        # its moment vectors included.
+        grad = np.random.default_rng(0).normal(size=store.data.size)
+        optimizers = []
+        for s in (store, loaded):
+            s.grad[...] = grad
+            optimizers.append(AdamW(s.data, s.grad, OptimizerConfig(lr=1e-2, weight_decay=1e-2)))
+            optimizers[-1].step()
+        assert loaded.data.tobytes() == store.data.tobytes()
+        assert optimizers[0].m.tobytes() == optimizers[1].m.tobytes()
+        assert optimizers[0].v.tobytes() == optimizers[1].v.tobytes()
 
 
 class TestScalePresets:

@@ -9,8 +9,8 @@ endpoint sees it and the graph is never copied.
 An evaluation request is one pass over all of its runs: it draws every
 run's test set first, walks every node of every run in one
 ``graphs.rwr_batch`` call (each walker on its run's stream), then encodes
-the subgraphs in fixed-size chunks, each chunk's padded batch built
-straight from the graph by ``encoder.subgraph_batch`` and encoded with no
+the subgraphs in fixed-size chunks, each built by the one batch builder
+(``encoder.subgraph_batch``, through ``pair_batch``) and encoded with no
 autodiff tape. All nodes are scored at once: node classification in one
 matmul against the label embeddings, link prediction as one row-wise
 product. The scores equal ``zero_shot_classify`` and ``link_score`` row
@@ -412,18 +412,17 @@ def make_few_shot_split(
     if graph.labels is None:
         raise ValidationError("graph has no labels")
     rng = np.random.default_rng(seed)
+    labels = np.asarray(graph.labels)
     train: list[int] = []
-    for c in sorted(set(int(x) for x in graph.labels if x >= 0)):
-        members = [i for i in range(graph.num_nodes) if int(graph.labels[i]) == c]
-        if len(members) < shots + 1:
+    for c in sorted(set(labels[labels >= 0].tolist())):
+        members = np.flatnonzero(labels == c)
+        if members.size < shots + 1:
             raise ValidationError(f"class {c} has too few nodes for {shots} shots")
-        picked = rng.choice(members, size=shots, replace=False)
-        train.extend(int(i) for i in picked)
-    chosen = set(train)
-    test = [i for i in range(graph.num_nodes)
-            if graph.labels[i] >= 0 and i not in chosen]
+        train.extend(rng.choice(members, size=shots, replace=False).tolist())
+    test = labels >= 0
+    test[train] = False
     return FewShotSplit(shots=shots, train_ids=tuple(sorted(train)),
-                        test_ids=tuple(sorted(test)), seed=seed)
+                        test_ids=tuple(np.flatnonzero(test).tolist()), seed=seed)
 
 
 @dataclass
@@ -460,8 +459,6 @@ def prompt_tune(
     full-batch supervised contrastive step over them. The prompt starts at
     zero, so the initial model is exactly the zero-shot model.
     """
-    if graph.features is None:
-        raise ValidationError("graph needs features (attach a text encoder first)")
     if epochs < 0:
         raise ValidationError(f"epochs must be >= 0, got {epochs}")
     sampler_cfg = sampler_cfg or SamplerConfig()

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ParseError, ValidationError, parse_json_object
 from .graphml import GraphMLSchema, node_data, parse_graphml, write_graphml
-from .graphs import SamplerConfig, TextAttributedGraph, induced_edges, rwr_batch
+from .graphs import INDUCE_CHUNK, SamplerConfig, TextAttributedGraph, induced_edges, rwr_batch
 from .prompts import DOMAINS, render_summary_prompt
 
 
@@ -205,13 +205,6 @@ def split_node_text(text: str, num_attrs: int) -> list[str]:
     while len(parts) < num_attrs:
         parts.append("")
     return parts[:num_attrs]
-
-
-# Subgraphs whose edges one induced_edges call induces. Its temporaries grow
-# with the chunk's member-neighbor pairs: about 1.8 MB at 128 subgraphs of
-# 16 nodes with mean degree 12, 22 MB for 1,600 at once, and past 128 a
-# larger chunk was no faster.
-INDUCE_CHUNK = 128
 
 
 def _check_truncate_chars(truncate_chars: int | None) -> None:

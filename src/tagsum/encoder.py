@@ -7,7 +7,9 @@ then layer-normalizes and applies a 2x-width feed-forward block with a
 second normalization. Node states are mean-pooled, projected to the text
 dimension, and L2-normalized, so graph and summary embeddings live on the
 same unit sphere. A minibatch is encoded on one tape as a zero-padded,
-masked batch; a single subgraph is a batch of one.
+masked batch; a single subgraph is a batch of one. Walks become batches
+through one builder, ``pair_batch``: its ``PairBatch`` holds node ids into
+the source graphs' features, and ``take`` gathers a padded batch.
 
 Positional encodings are concatenated to the node features at the input
 projection. Parameters live in a ``ParamStore``: named float64 tensors
@@ -56,6 +58,7 @@ from .atomic import replacing
 from .autodiff import Tensor
 from .errors import ShapeError, ValidationError
 from .graphs import (
+    INDUCE_CHUNK,
     EgoSubgraph,
     TextAttributedGraph,
     batched_rwpe,
@@ -270,23 +273,76 @@ def pad_batch(config: GraphEncoderConfig, subgraphs: list[EgoSubgraph]) -> Padde
     return PaddedBatch(features, positional, degree_normalized(adjacency), sizes)
 
 
-def subgraph_structure(
-    graph: TextAttributedGraph,
-    node_sets,
-    excluded,
-    positional_dim: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(neighbor_mean, positional, sizes)`` of the subgraphs induced on
-    ``node_sets`` (sorted ids, as ``rwr_batch`` returns them), padded to
-    their largest size: the fields of ``subgraph_batch`` that do not hold
-    features. A subgraph's values do not depend on the padding width."""
-    sizes = np.array([len(ids) for ids in node_sets])
-    b, n = len(node_sets), int(sizes.max())
-    which, local_u, local_v = induced_edges(graph, node_sets, excluded)
-    adjacency = np.zeros((b, n, n))
-    adjacency[which, local_u, local_v] = adjacency[which, local_v, local_u] = 1.0
-    neighbor_mean = degree_normalized(adjacency)
-    return neighbor_mean, batched_rwpe(neighbor_mean, sizes, positional_dim), sizes
+@dataclass(frozen=True)
+class PairBatch:
+    """Subgraphs with their features held by node id: slot ``i`` of subgraph
+    ``p`` is row ``ids[p, i]`` of ``table``, the features of the source
+    graphs stacked in source order (one source's own array, uncopied).
+    Per subgraph this holds n_max int32 ids where a padded batch holds
+    n_max x text_dim floats."""
+
+    table: np.ndarray          # (nodes of every source, text_dim)
+    ids: np.ndarray            # (P, n_max) int32; padded slots hold 0
+    positional: np.ndarray     # (P, n_max, positional_dim)
+    neighbor_mean: np.ndarray  # (P, n_max, n_max)
+    sizes: np.ndarray          # (P,)
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+    def take(self, rows) -> PaddedBatch:
+        """The subgraphs at ``rows`` (indices, in that order, or a slice) as
+        one batch padded to their own n_max; padded slots' features are zero."""
+        sizes = self.sizes[rows]
+        n = int(sizes.max())
+        features = self.table[self.ids[rows, :n]]
+        features[np.arange(n) >= sizes[:, None]] = 0.0
+        return PaddedBatch(features, self.positional[rows, :n],
+                           self.neighbor_mean[rows, :n, :n], sizes)
+
+
+def pair_batch(config: GraphEncoderConfig, sources) -> PairBatch:
+    """Build walks from one or more graphs into one ``PairBatch``.
+
+    ``sources`` holds one ``(graph, rows, node_sets, excluded)`` per source
+    graph: subgraph ``rows[j]`` of the batch is induced on ``node_sets[j]``
+    (sorted ids, as ``rwr_batch`` returns them), without the edge
+    ``excluded[j]`` when ``excluded`` is given and that entry is not None.
+    Edges, neighbor means and positional encodings are built
+    ``INDUCE_CHUNK`` subgraphs at a time and written in place; a subgraph's
+    values do not depend on its chunk or on the padding width.
+    """
+    sizes = np.zeros(sum(len(rows) for _, rows, _, _ in sources), dtype=np.int64)
+    for graph, rows, node_sets, _ in sources:
+        if graph.features is None or graph.features.shape[1] != config.text_dim:
+            shape = None if graph.features is None else graph.features.shape
+            raise ShapeError(f"graph {graph.graph_id!r} has no features of shape "
+                             f"(n, {config.text_dim}); got {shape}")
+        sizes[rows] = [len(ids) for ids in node_sets]
+    n = int(sizes.max())
+    ids = np.zeros((len(sizes), n), dtype=np.int32)
+    positional = np.zeros((len(sizes), n, config.positional_dim))
+    neighbor_mean = np.zeros((len(sizes), n, n))
+    offset = 0
+    for graph, rows, node_sets, excluded in sources:
+        block = np.zeros((len(rows), n), dtype=np.int32)
+        block[np.arange(n) < sizes[rows, None]] = np.concatenate(node_sets) + offset
+        ids[rows] = block
+        offset += graph.num_nodes
+        for start in range(0, len(rows), INDUCE_CHUNK):
+            chunk = slice(start, start + INDUCE_CHUNK)
+            members = rows[chunk]
+            k = int(sizes[members].max())
+            which, local_u, local_v = induced_edges(
+                graph, node_sets[chunk], None if excluded is None else excluded[chunk])
+            adjacency = np.zeros((len(members), k, k))
+            adjacency[which, local_u, local_v] = adjacency[which, local_v, local_u] = 1.0
+            part = degree_normalized(adjacency)
+            neighbor_mean[members, :k, :k] = part
+            positional[members, :k] = batched_rwpe(part, sizes[members], config.positional_dim)
+    tables = [np.asarray(graph.features, dtype=np.float64) for graph, *_ in sources]
+    table = tables[0] if len(tables) == 1 else np.concatenate(tables)
+    return PairBatch(table, ids, positional, neighbor_mean, sizes)
 
 
 def subgraph_batch(
@@ -295,24 +351,12 @@ def subgraph_batch(
     node_sets,
     excluded,
 ) -> PaddedBatch:
-    """Stack the subgraphs induced on ``node_sets`` (sorted ids, as
-    ``rwr_batch`` returns them), with positional encodings, into one padded
-    batch built straight from the graph.
-
-    Every field equals ``pad_batch`` of the same walks sampled one at a
-    time, ``with_positional_encodings(rwr_sample(graph, node, cfg,
-    exclude), config.positional_dim)``. ``excluded`` is None or holds, per
-    set, an edge left out or None.
-    """
-    if graph.features is None or graph.features.shape[1] != config.text_dim:
-        shape = None if graph.features is None else graph.features.shape
-        raise ShapeError(f"graph features: expected (n, {config.text_dim}), got {shape}")
-    neighbor_mean, positional, sizes = subgraph_structure(graph, node_sets, excluded,
-                                                          config.positional_dim)
-    real = np.arange(neighbor_mean.shape[1]) < sizes[:, None]
-    features = np.zeros(real.shape + (config.text_dim,))
-    features[real] = graph.features[np.concatenate(node_sets)]
-    return PaddedBatch(features, positional, neighbor_mean, sizes)
+    """``pair_batch`` of one graph's ``node_sets`` and ``excluded`` edges,
+    taken whole. Every field equals ``pad_batch`` of the same walks sampled
+    one at a time, ``with_positional_encodings(rwr_sample(graph, node, cfg,
+    exclude), config.positional_dim)``."""
+    batch = pair_batch(config, [(graph, np.arange(len(node_sets)), node_sets, excluded)])
+    return batch.take(slice(None))
 
 
 MIXING_PARAMS = tuple(f"{name}.{kind}" for name in (

@@ -28,8 +28,8 @@ from .encoder import (
     ffn_sublayer,
     input_projection,
     mixing_sublayer,
+    pair_batch,
     readout,
-    subgraph_batch,
 )
 from .errors import ValidationError
 from .graphs import SamplerConfig, TextAttributedGraph, rwr_batch
@@ -122,22 +122,18 @@ def _random_batch(config: GraphEncoderConfig, sizes: tuple[int, ...], seed: int)
 
     Subgraph i comes from a graph of its own on n = sizes[i] nodes, drawn
     from seed + 1 + i: each pair joined with probability 0.7, then normal
-    features. A walk from node 0 on the same seed picks the nodes. The
-    graphs are laid side by side as one graph, so one ``subgraph_batch``
-    builds the batch."""
-    edges, features, node_sets, offset = [], [], [], 0
+    features. A walk from node 0 on the same seed picks the nodes. Each
+    graph is one source of one ``pair_batch``."""
+    sources = []
     for i, n in enumerate(sizes):
         rng = np.random.default_rng(seed + 1 + i)
-        own = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.7]
-        features.append(rng.normal(size=(n, config.text_dim)))
-        walk = rwr_batch(TextAttributedGraph.from_edges(n, own, [""] * n), [0], [seed + 1 + i],
-                         SamplerConfig(node_budget=n, max_steps=8 * n), None)[0]
-        node_sets.append(offset + walk)
-        edges += [(offset + a, offset + b) for a, b in own]
-        offset += n
-    graph = TextAttributedGraph.from_edges(offset, edges, [""] * offset,
-                                           features=np.vstack(features))
-    return subgraph_batch(config, graph, node_sets, None)
+        edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.7]
+        graph = TextAttributedGraph.from_edges(n, edges, [""] * n,
+                                               features=rng.normal(size=(n, config.text_dim)))
+        walk = rwr_batch(graph, [0], [seed + 1 + i],
+                         SamplerConfig(node_budget=n, max_steps=8 * n), None)
+        sources.append((graph, [i], walk, None))
+    return pair_batch(config, sources).take(slice(None))
 
 
 FUSED_OPS = ("input_projection", "mixing", "ffn", "readout", "contrastive_loss",

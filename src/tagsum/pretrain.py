@@ -19,16 +19,17 @@ import numpy as np
 
 from .atomic import write_csv
 from .autodiff import Tensor
-from .corpus import INDUCE_CHUNK, GraphSummaryPair
+from .corpus import GraphSummaryPair
 from .encoder import (
     GraphEncoderConfig,
     PaddedBatch,
+    PairBatch,
     ParamStore,
     encode_batch,
+    pair_batch,
     save_checkpoint,
-    subgraph_structure,
 )
-from .errors import NonFiniteLossError, ShapeError, ValidationError
+from .errors import NonFiniteLossError, ValidationError
 from .graphs import SamplerConfig, TextAttributedGraph, rwr_batch
 from .losses import alignment_uniformity, contrastive_loss_tensor
 from .textenc import attach_features
@@ -235,32 +236,6 @@ class PretrainResult:
         return self.text_checksum_before == self.text_checksum_after
 
 
-@dataclass(frozen=True)
-class PairBatch:
-    """Every pair's subgraph, with its features held by node id: slot ``i``
-    of pair ``p`` is row ``ids[p, i]`` of ``table``, which stacks the source
-    graphs' features over one all-zero row that every padded slot points
-    at. Per pair this holds n_max int32 ids where a padded batch holds
-    n_max x text_dim floats."""
-
-    table: np.ndarray          # (nodes of every source + 1, text_dim)
-    ids: np.ndarray            # (P, n_max) int32
-    positional: np.ndarray     # (P, n_max, positional_dim)
-    neighbor_mean: np.ndarray  # (P, n_max, n_max)
-    sizes: np.ndarray          # (P,)
-
-    def __len__(self) -> int:
-        return len(self.sizes)
-
-    def take(self, rows) -> PaddedBatch:
-        """The pairs at ``rows``, in that order, as one batch padded to their
-        own n_max, with their features gathered from the table."""
-        sizes = self.sizes[rows]
-        n = int(sizes.max())
-        return PaddedBatch(self.table[self.ids[rows, :n]], self.positional[rows, :n],
-                           self.neighbor_mean[rows, :n, :n], sizes)
-
-
 def materialize_subgraphs(
     pairs: list[GraphSummaryPair],
     graphs: dict[str, TextAttributedGraph],
@@ -268,50 +243,18 @@ def materialize_subgraphs(
     config: GraphEncoderConfig,
 ) -> PairBatch:
     """Sample every pair's subgraph once, deterministically from its source
-    graph and sampler seed, in pair order. The pairs of one graph are walked
-    by one ``rwr_batch`` and induced ``INDUCE_CHUNK`` at a time, each chunk
-    written in place into the batch."""
+    graph and sampler seed, in pair order: one ``rwr_batch`` walks the pairs
+    of each graph, and one ``encoder.pair_batch`` builds every walk."""
     groups: dict[str, list[int]] = {}
     for row, pair in enumerate(pairs):
-        graph = graphs.get(pair.graph_id)
-        if graph is None:
+        if pair.graph_id not in graphs:
             raise ValidationError(f"pair references unknown graph {pair.graph_id!r}")
-        if graph.features is None:
-            raise ValidationError(
-                f"graph {pair.graph_id!r} has no features; attach an encoder first"
-            )
         groups.setdefault(pair.graph_id, []).append(row)
-    walks = {graph_id: rwr_batch(graphs[graph_id], [pairs[i].seed_id for i in rows],
-                                 [pairs[i].sampler_seed for i in rows], sampler_cfg, None)
-             for graph_id, rows in groups.items()}
-    sizes = np.zeros(len(pairs), dtype=np.int64)
-    for graph_id, rows in groups.items():
-        sizes[rows] = [len(ids) for ids in walks[graph_id]]
-    n = int(sizes.max())
-    first = np.cumsum([0] + [graphs[graph_id].num_nodes for graph_id in groups])
-    table = np.zeros((first[-1] + 1, config.text_dim))
-    ids = np.full((len(pairs), n), first[-1], dtype=np.int32)
-    positional = np.zeros((len(pairs), n, config.positional_dim))
-    neighbor_mean = np.zeros((len(pairs), n, n))
-    for (graph_id, rows), offset in zip(groups.items(), first.tolist()):
-        graph = graphs[graph_id]
-        if graph.features.shape[1] != config.text_dim:
-            raise ShapeError(f"graph features: expected (n, {config.text_dim}), "
-                             f"got {graph.features.shape}")
-        table[offset:offset + graph.num_nodes] = graph.features
-        members = np.array(rows)
-        counts = sizes[members]
-        slots = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-        ids[np.repeat(members, counts), slots] = np.concatenate(walks[graph_id]) + offset
-        for start in range(0, len(members), INDUCE_CHUNK):
-            chunk = members[start:start + INDUCE_CHUNK]
-            part_mean, part_positional, _ = subgraph_structure(
-                graph, walks[graph_id][start:start + INDUCE_CHUNK], None,
-                config.positional_dim)
-            k = part_mean.shape[1]
-            neighbor_mean[chunk, :k, :k] = part_mean
-            positional[chunk, :k] = part_positional
-    return PairBatch(table, ids, positional, neighbor_mean, sizes)
+    return pair_batch(config, [
+        (graphs[graph_id], rows, rwr_batch(graphs[graph_id], [pairs[i].seed_id for i in rows],
+                                           [pairs[i].sampler_seed for i in rows],
+                                           sampler_cfg, None), None)
+        for graph_id, rows in groups.items()])
 
 
 # glibc's mallopt parameters (malloc.h) and the largest values its own

@@ -1,5 +1,7 @@
 """Zero-shot classification, link prediction, prompt tuning."""
 
+import dataclasses
+import hashlib
 import json
 import time
 
@@ -355,6 +357,16 @@ class TestFewShotSplit:
         with pytest.raises(ValidationError):
             FewShotSplit(shots=1, train_ids=(0, 1), test_ids=(1, 2), seed=0)
 
+    def test_pinned_split_skips_unlabeled_nodes(self, target_graph):
+        # Taken from the per-node scan that the split replaced.
+        labels = np.array(target_graph.labels)
+        labels[::7] = -1
+        split = make_few_shot_split(dataclasses.replace(target_graph, labels=labels),
+                                    shots=3, seed=4)
+        assert split.train_ids == (10, 23, 32, 57, 59, 78, 82, 85, 87)
+        assert split.test_ids == tuple(i for i in range(90)
+                                       if i % 7 and i not in split.train_ids)
+
 
 class TestNodeClassification:
     def test_trained_beats_chance_strongly(self, trained_model, target_graph,
@@ -514,6 +526,26 @@ class TestAgainstPerNodeReference:
                                                            run_cfg), label_prompts)[0]
                     == mapping[target_graph.labels[n]] for n in nodes)
                 assert run.value == correct / len(nodes)
+
+
+class TestPinnedPromptBits:
+    """Two-shot prompt tuning of the toy model reproduces its prompt and loss
+    bytes and its accuracies. Taken with numpy 2.4.6 on scipy-openblas
+    0.3.31 (x86-64, Python 3.11); another numpy or BLAS build may round
+    differently, here or in the toy pretraining run, and need its own."""
+
+    def test_two_shots_five_epochs(self, trained_model, shifted_target_graph,
+                                   label_prompts):
+        split = make_few_shot_split(shifted_target_graph, shots=2, seed=0)
+        result = prompt_tune(trained_model.store, TOY_ENCODER, shifted_target_graph, split,
+                             label_prompts, epochs=5, lr=1e-2, sampler_cfg=TOY_SAMPLER)
+        got = (hashlib.sha256(result.prompt.values.tobytes()).hexdigest(),
+               hashlib.sha256(np.array(result.losses).tobytes()).hexdigest(),
+               result.zero_shot_accuracy, result.tuned_accuracy)
+        assert got == ("ac6cf10cbf6df8e04d8ecb5185f2de2f519bf1fa903fd646ece107d867009167",
+                       "476881baa79c41ff74a447abc4d3925239c8e8978c61eb5393198ea43d3d4814",
+                       0.8452380952380952, 0.9285714285714286), \
+            f"pinned on numpy 2.4.6, running {np.__version__}"
 
 
 class TestPromptTune:

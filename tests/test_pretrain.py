@@ -3,7 +3,6 @@
 import csv
 import dataclasses
 import hashlib
-import importlib
 import json
 import math
 import os
@@ -55,9 +54,6 @@ from reference import (
     loop_adamw_step,
     padded_materialize,
 )
-
-# The package re-exports the function under the module's name.
-pretrain_module = importlib.import_module("tagsum.pretrain")
 
 CFG = GraphEncoderConfig(layers=1, hidden=8, heads=2, positional_dim=3, text_dim=6)
 SAMPLER = SamplerConfig(node_budget=5, max_steps=40)
@@ -167,11 +163,10 @@ class TestMaterializeSubgraphs:
         if sources == "one":
             graphs = {"src": graphs["src"]}
             pairs = [p for p in pairs if p.graph_id == "src"]
-        with mock.patch.object(pretrain_module, "INDUCE_CHUNK", chunk):
+        with mock.patch.object(tagsum.encoder, "INDUCE_CHUNK", chunk):
             batch = materialize_subgraphs(pairs, graphs, self.SAMPLER, CFG)
         want = padded_materialize(pairs, graphs, self.SAMPLER, CFG)
         assert batch.ids.dtype == np.int32
-        assert np.all(batch.table[-1] == 0.0)
         everything = batch.take(np.arange(len(pairs)))
         for name in ("features", "positional", "neighbor_mean", "sizes"):
             a, b = getattr(everything, name), getattr(want, name)
@@ -179,7 +174,17 @@ class TestMaterializeSubgraphs:
             assert a.tobytes() == b.tobytes(), name
         rows = np.random.default_rng(1).permutation(len(pairs))[:7]
         n = int(want.sizes[rows].max())
-        assert batch.take(rows).features.tobytes() == want.features[rows, :n].tobytes()
+        some = batch.take(rows)
+        assert some.features.tobytes() == want.features[rows, :n].tobytes()
+        for taken in (everything, some):
+            padded = np.arange(taken.features.shape[1]) >= taken.sizes[:, None]
+            assert padded.any() and np.all(taken.features[padded] == 0.0)
+
+    def test_one_source_reads_the_graph_features_uncopied(self, task):
+        graphs, pairs = task
+        batch = materialize_subgraphs([p for p in pairs if p.graph_id == "src"],
+                                      {"src": graphs["src"]}, self.SAMPLER, CFG)
+        assert np.shares_memory(batch.table, graphs["src"].features)
 
     def test_node_ids_bound_the_memory(self):
         # 2,000 pairs at text_dim 384: a padded batch would hold 2,000 x n_max

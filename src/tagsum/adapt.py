@@ -469,8 +469,8 @@ def prompt_tune(
     mapping = prompt_index_map(graph, labels)
     train_labels = np.array([int(mapping[graph.labels[n]]) for n in split.train_ids])
 
-    # The towers enter the tape as constants sharing the store's arrays, so
-    # backward computes no tower gradient and leaves the store's slots alone.
+    # The frozen tower shares the store's arrays but has no gradient buffer,
+    # so backward computes no weight gradient and leaves the store's alone.
     frozen = ParamStore(store.shapes, store.data, trainable=False)
     sigma, sigma_grad = np.zeros(config.text_dim), np.zeros(config.text_dim)
     optimizer = AdamW(sigma, sigma_grad, OptimizerConfig(lr=lr, weight_decay=weight_decay))

@@ -3,16 +3,17 @@
 Every operation records its parents and a closure that routes the incoming
 gradient; ``backward`` walks the recorded graph in reverse topological order.
 Gradients accumulate into ``Tensor.grad`` slots of the leaves that were
-created with ``requires_grad=True`` (parameters and, when needed, input
-features). Inside ``no_grad()`` nothing is recorded, so inference keeps no
+created with ``requires_grad=True``, such as the input features. Inside ``no_grad()`` nothing is recorded, so inference keeps no
 tape. All data is promoted to float64.
 
 Besides ``matmul`` and the shape ops ``reshape`` and ``concat``, the module
 holds the numpy kernels that the encoder's fused sublayer ops share (see
 ``encoder``); the losses are fused ops too (see ``losses``). A fused op
-records one tape node and returns, through ``gradients``, a
-gradient only for the parents that need one (``needs_grad``), so a frozen
-weight costs no matmul in backward. The kernels' backward formulas:
+records one tape node whose parents are its activations only; its backward
+returns their gradients, and ``backward`` drops those of constant leaves.
+The encoder's weights are not on the tape: each op adds their gradients
+into its ``ParamStore``'s gradient buffer itself. The kernels' backward
+formulas:
 
 - softmax along one axis, P = softmax(S):
   dS = P * (dP - sum(dP * P)) with the sum along that axis (Dao et al.
@@ -116,22 +117,13 @@ class Tensor:
                         existing += contribution
                 elif parent.requires_grad:      # a leaf: accumulate in place
                     parent.grad += contribution
+            # Else the last contribution, already copied into ``grads`` when
+            # it is an activation's, stays alive through the next backward.
+            contribution = existing = None
 
 
 def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
-
-
-def needs_grad(t: Tensor) -> bool:
-    """Whether backward routes a gradient into ``t``: it is a grad-enabled
-    leaf or has a recorded forward."""
-    return t.requires_grad or bool(t._parents)
-
-
-def gradients(*pairs) -> list:
-    """``(parent, thunk)`` pairs to the ``(parent, gradient)`` pairs of a
-    backward closure, running only the thunks of parents that need a gradient."""
-    return [(parent, thunk()) for parent, thunk in pairs if needs_grad(parent)]
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -276,10 +268,8 @@ def layer_norm(x, gain, bias, eps=1e-5) -> Tensor:
     out_data, normed, std = layer_norm_forward(x.data, gain.data, bias.data, eps)
 
     def backward(grad):
-        return gradients(
-            (x, lambda: layer_norm_backward(grad, normed, std, gain.data)),
-            (gain, lambda: _unbroadcast(grad * normed, gain.data.shape)),
-            (bias, lambda: _unbroadcast(grad, bias.data.shape)),
-        )
+        return ((x, layer_norm_backward(grad, normed, std, gain.data)),
+                (gain, _unbroadcast(grad * normed, gain.data.shape)),
+                (bias, _unbroadcast(grad, bias.data.shape)))
 
     return Tensor(out_data, _parents=(x, gain, bias), _backward=backward)

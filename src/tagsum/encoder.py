@@ -35,15 +35,16 @@ axes, so every weight gradient is one matmul, rows(input)^T rows(dY)):
 - ``readout``: masked mean pooling, projection and L2 normalization;
   through y = p / ||p||, dp = (dy - y (y . dy)) / ||p||.
 
-An op computes a gradient only for the parents that need one
-(``autodiff.needs_grad``): a tower seen as constants, as in prompt tuning,
-costs no weight-gradient matmul.
+An op's only tape parent is its input activation; the store's tensors are
+not on the tape. Backward adds the weight and bias gradients into the
+store's gradient views itself and returns the input's gradient. A store
+without a gradient buffer, the frozen tower of prompt tuning, costs no
+weight-gradient matmul.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import hashlib
 import json
 import math
@@ -177,9 +178,10 @@ class ParamStore:
     gradient buffer, laid out in sorted-name order (the checkpoint's) however
     ``shapes`` is ordered: each tensor's ``data`` and ``grad`` are views into
     ``self.data`` and ``self.grad``, so backward accumulates into the flat
-    gradient in place and the optimizer updates the flat data in place. A
-    store built with ``trainable=False`` has no gradient buffer; its tensors
-    enter a tape as constants."""
+    gradient in place and the optimizer updates the flat data in place. The
+    tensors are never tape parents: the encoder ops add into the gradient
+    views themselves. A store built with ``trainable=False`` has no gradient
+    buffer, so backward computes no weight gradient for it."""
 
     def __init__(self, shapes: dict[str, tuple[int, ...]], data: np.ndarray | None = None,
                  trainable: bool = True):
@@ -193,7 +195,6 @@ class ParamStore:
             end = start + size
             tensor = Tensor(self.data[start:end].reshape(shape))
             if trainable:
-                tensor.requires_grad = True
                 tensor.grad = self.grad[start:end].reshape(shape)
             self.tensors[name] = tensor
             start = end
@@ -382,14 +383,12 @@ def input_projection(x: Tensor, batch: PaddedBatch, store: ParamStore) -> Tensor
     width = x.data.shape[-1]
 
     def backward(grad):
-        return ad.gradients(
-            (x, lambda: grad @ weight.data[:width].T),
-            (weight, lambda: _rows(inputs).T @ _rows(grad)),
-            (bias, lambda: _rows(grad).sum(axis=0)),
-        )
+        if store.grad is not None:
+            weight.grad += _rows(inputs).T @ _rows(grad)
+            bias.grad += _rows(grad).sum(axis=0)
+        return ((x, grad @ weight.data[:width].T),)
 
-    return Tensor(inputs @ weight.data + bias.data,
-                  _parents=(x, weight, bias), _backward=backward)
+    return Tensor(inputs @ weight.data + bias.data, _parents=(x,), _backward=backward)
 
 
 def mixing_sublayer(h: Tensor, batch: PaddedBatch, store: ParamStore, prefix: str,
@@ -428,46 +427,36 @@ def mixing_sublayer(h: Tensor, batch: PaddedBatch, store: ParamStore, prefix: st
     out, normed, std = ad.layer_norm_forward(x + local + attn, p["norm1.gain"].data,
                                              p["norm1.bias"].data)
 
+    # The closure holds 19 cells. CPython 3.11 pushes freed 20-item tuples
+    # onto a free list that it never pops, so a 20-cell closure would strand
+    # 2,000 of them (368 KB) until a full collection.
     def backward(grad):
         dz = ad.layer_norm_backward(grad, normed, std, p["norm1.gain"].data)
-        dz_rows = _rows(dz)
         dcontext = (dz @ p["attn_out.weight"].data.T).reshape(b, n, heads, head_dim)
         dcontext = dcontext.transpose(0, 2, 1, 3)
         dscores = ad.softmax_backward(probs, v @ dcontext.swapaxes(-1, -2), axis=-2)
         dscores *= scale                                      # key-major, as probs
         dqkv = np.stack([dscores.swapaxes(-1, -2) @ k, dscores @ q, probs @ dcontext])
-        dqkv = _rows(dqkv.transpose(1, 3, 0, 2, 4).reshape(b, n, 3 * hidden))
+        dqkv = _rows(dqkv.transpose(1, 3, 0, 2, 4).reshape(b, n, -1))
+        if store.grad is not None:
+            dqkv_weight = _rows(x).T @ dqkv    # one matmul for all three weights
+            for c, dw, db in zip("qkv", np.split(dqkv_weight, 3, axis=1),
+                                 np.split(dqkv.sum(axis=0), 3)):
+                p[f"attn_{c}.weight"].grad += dw
+                p[f"attn_{c}.bias"].grad += db
+            dz_rows = _rows(dz)
+            dz_bias = dz_rows.sum(axis=0)      # the three output biases share it
+            for name, inputs in (("local_self", x), ("local_neigh", neighbors),
+                                 ("attn_out", context)):
+                p[name + ".weight"].grad += _rows(inputs).T @ dz_rows
+                p[name + ".bias"].grad += dz_bias
+            p["norm1.gain"].grad += _rows(grad * normed).sum(axis=0)
+            p["norm1.bias"].grad += _rows(grad).sum(axis=0)
+        return ((h, dz + dz @ p["local_self.weight"].data.T
+                 + adjacency.swapaxes(-1, -2) @ (dz @ p["local_neigh.weight"].data.T)
+                 + (dqkv @ qkv_weight.T).reshape(x.shape)),)
 
-        @functools.cache
-        def dqkv_params():                     # one matmul for all three weights
-            return _rows(x).T @ dqkv, dqkv.sum(axis=0)
-
-        # The three biases share one gradient array: backward only adds it
-        # into each bias's own view.
-        dz_bias = functools.cache(lambda: dz_rows.sum(axis=0))
-        thunks = {
-            "local_self.weight": lambda: _rows(x).T @ dz_rows,
-            "local_self.bias": dz_bias,
-            "local_neigh.weight": lambda: _rows(neighbors).T @ dz_rows,
-            "local_neigh.bias": dz_bias,
-            "attn_out.weight": lambda: _rows(context).T @ dz_rows,
-            "attn_out.bias": dz_bias,
-            "norm1.gain": lambda: _rows(grad * normed).sum(axis=0),
-            "norm1.bias": lambda: _rows(grad).sum(axis=0),
-        }
-        for i, c in enumerate("qkv"):
-            cols = slice(i * hidden, (i + 1) * hidden)
-            thunks[f"attn_{c}.weight"] = lambda cols=cols: dqkv_params()[0][:, cols]
-            thunks[f"attn_{c}.bias"] = lambda cols=cols: dqkv_params()[1][cols]
-
-        def dx():
-            return (dz + dz @ p["local_self.weight"].data.T
-                    + adjacency.swapaxes(-1, -2) @ (dz @ p["local_neigh.weight"].data.T)
-                    + (dqkv @ qkv_weight.T).reshape(b, n, hidden))
-
-        return ad.gradients((h, dx), *((p[name], thunks[name]) for name in MIXING_PARAMS))
-
-    return Tensor(out, _parents=(h, *p.values()), _backward=backward)
+    return Tensor(out, _parents=(h,), _backward=backward)
 
 
 def ffn_sublayer(h: Tensor, store: ParamStore, prefix: str) -> Tensor:
@@ -483,18 +472,16 @@ def ffn_sublayer(h: Tensor, store: ParamStore, prefix: str) -> Tensor:
     def backward(grad):
         dz = ad.layer_norm_backward(grad, normed, std, p["norm2.gain"].data)
         dpre = (dz @ p["ffn2.weight"].data.T) * ad.gelu_slope(pre, tanh_term)
-        thunks = {
-            "ffn1.weight": lambda: _rows(x).T @ _rows(dpre),
-            "ffn1.bias": lambda: _rows(dpre).sum(axis=0),
-            "ffn2.weight": lambda: _rows(act).T @ _rows(dz),
-            "ffn2.bias": lambda: _rows(dz).sum(axis=0),
-            "norm2.gain": lambda: _rows(grad * normed).sum(axis=0),
-            "norm2.bias": lambda: _rows(grad).sum(axis=0),
-        }
-        return ad.gradients((h, lambda: dz + dpre @ p["ffn1.weight"].data.T),
-                            *((p[name], thunks[name]) for name in FFN_PARAMS))
+        if store.grad is not None:
+            p["ffn1.weight"].grad += _rows(x).T @ _rows(dpre)
+            p["ffn1.bias"].grad += _rows(dpre).sum(axis=0)
+            p["ffn2.weight"].grad += _rows(act).T @ _rows(dz)
+            p["ffn2.bias"].grad += _rows(dz).sum(axis=0)
+            p["norm2.gain"].grad += _rows(grad * normed).sum(axis=0)
+            p["norm2.bias"].grad += _rows(grad).sum(axis=0)
+        return ((h, dz + dpre @ p["ffn1.weight"].data.T),)
 
-    return Tensor(out, _parents=(h, *p.values()), _backward=backward)
+    return Tensor(out, _parents=(h,), _backward=backward)
 
 
 def readout(h: Tensor, batch: PaddedBatch, store: ParamStore) -> Tensor:
@@ -510,13 +497,12 @@ def readout(h: Tensor, batch: PaddedBatch, store: ParamStore) -> Tensor:
 
     def backward(grad):
         dprojected = (grad - out * (grad * out).sum(axis=-1, keepdims=True)) / norm
-        return ad.gradients(
-            (h, lambda: real * ((dprojected @ weight.data.T) * inv_sizes)[:, None, :]),
-            (weight, lambda: pooled.T @ dprojected),
-            (bias, lambda: dprojected.sum(axis=0)),
-        )
+        if store.grad is not None:
+            weight.grad += pooled.T @ dprojected
+            bias.grad += dprojected.sum(axis=0)
+        return ((h, real * ((dprojected @ weight.data.T) * inv_sizes)[:, None, :]),)
 
-    return Tensor(out, _parents=(h, weight, bias), _backward=backward)
+    return Tensor(out, _parents=(h,), _backward=backward)
 
 
 def encode_batch(
@@ -609,8 +595,9 @@ def save_checkpoint(path, store: ParamStore, config: GraphEncoderConfig,
 
 def load_checkpoint(path) -> tuple[ParamStore, GraphEncoderConfig, dict]:
     """Load a checkpoint; rejects unknown magic, mismatched versions, tensors
-    out of sorted-name order, and truncated or overlong files. The store's
-    data buffer wraps the file's blob, read once into a writable buffer."""
+    out of sorted-name order, truncated or overlong files, and non-finite
+    parameters. The store's data buffer wraps the file's blob, read once
+    into a writable buffer."""
     with open(path, "rb") as handle:
         raw = bytearray(os.fstat(handle.fileno()).st_size)
         handle.readinto(raw)
@@ -644,6 +631,8 @@ def load_checkpoint(path) -> tuple[ParamStore, GraphEncoderConfig, dict]:
         raise ValidationError(f"truncated or overlong checkpoint: tensors need {size} "
                               f"bytes, {len(raw) - offset} present")
     data = np.frombuffer(raw, dtype="<f8", offset=offset).astype(np.float64, copy=False)
+    if not np.isfinite(np.sum(data)):
+        raise ValidationError("checkpoint holds non-finite parameters")
     return ParamStore(shapes, data), config, metadata
 
 

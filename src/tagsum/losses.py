@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ValidationError
 
@@ -59,10 +58,8 @@ def contrastive_loss_tensor(h: Tensor, u: Tensor, temperature: float) -> Tensor:
     def backward(grad):
         dd = (probs_rows + probs_cols.T - 2.0 * np.eye(batch)) * (
             grad * 0.5 / batch * (-1.0 / temperature))
-        return ad.gradients(
-            (h, lambda: 2.0 * (dd.sum(axis=1)[:, None] * hd - dd @ ud)),
-            (u, lambda: 2.0 * (dd.sum(axis=0)[:, None] * ud - dd.T @ hd)),
-        )
+        return ((h, 2.0 * (dd.sum(axis=1)[:, None] * hd - dd @ ud)),
+                (u, 2.0 * (dd.sum(axis=0)[:, None] * ud - dd.T @ hd)))
 
     return Tensor(loss, _parents=(h, u), _backward=backward)
 
@@ -149,8 +146,6 @@ def supervised_contrastive_loss_tensor(
     def backward(grad):
         ds = (e / total - positives / counts[:, None]) * (grad * inv_t / batch)
         ds_label, ds_anchor = ds[:, :num_classes], ds[:, num_classes:]
-        return ad.gradients(
-            (z, lambda: ds_label @ label_embeddings + (ds_anchor + ds_anchor.T) @ zd),
-        )
+        return ((z, ds_label @ label_embeddings + (ds_anchor + ds_anchor.T) @ zd),)
 
     return Tensor(loss, _parents=(z,), _backward=backward)

@@ -42,8 +42,9 @@ METRICS_COLUMNS = ("step", "epoch", "loss", "alignment", "uniformity",
 class PerturbationState:
     """Adversarial perturbation settings.
 
-    ``epsilon`` may be zero (empty feasible set: the adversary is inert). The
-    per-subgraph delta block norm never exceeds epsilon after an update.
+    ``epsilon`` is finite and may be zero (empty feasible set: the adversary
+    is inert). The per-subgraph delta block norm never exceeds epsilon after
+    an update.
     """
 
     epsilon: float = 1e-2
@@ -51,8 +52,8 @@ class PerturbationState:
     inner_steps: int = 3
 
     def __post_init__(self):
-        if not self.epsilon >= 0:
-            raise ValidationError("epsilon must be >= 0")
+        if not 0.0 <= self.epsilon < float("inf"):
+            raise ValidationError("epsilon must be finite and >= 0")
         if self.norm_p not in (2.0, float("inf")):
             raise ValidationError("norm_p must be 2 or inf")
         if self.inner_steps < 1:
@@ -360,9 +361,11 @@ def pretrain(
 
             inner = inner_maximize(store, graph_config, subgraphs.take(batch_ids), batch_u,
                                    perturbation, temperature)
-            if not np.isfinite(inner.first_loss):
+            # One sum flags any NaN or infinity in the gradient buffer
+            # without a temporary the size of the parameters.
+            if not (np.isfinite(inner.first_loss) and np.isfinite(np.sum(store.grad))):
                 raise NonFiniteLossError(
-                    f"non-finite loss at step {step} (epoch {epoch})",
+                    f"non-finite loss or gradient at step {step} (epoch {epoch})",
                     dump={
                         "step": step,
                         "epoch": epoch,

@@ -284,6 +284,20 @@ class TestErrors:
         assert error == {"error": "checkpoint tensors are not in sorted-name order",
                          "code": EXIT_VALIDATION}
 
+    def test_checkpoint_with_a_nan_parameter_is_validation_error(
+            self, workdir, checkpoint, tmp_path, capsys):
+        raw = bytearray(checkpoint.read_bytes())
+        raw[-8:] = struct.pack("<d", float("nan"))
+        (tmp_path / "nan.bin").write_bytes(raw)
+        code = main(["eval-nc", "--graph", str(workdir / "graph.tsv"),
+                     "--checkpoint", str(tmp_path / "nan.bin"),
+                     "--labels", str(workdir / "labels.json"),
+                     "--out", str(tmp_path / "out"), "--shots", "0", *SMALL])
+        assert code == EXIT_VALIDATION
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error == {"error": "checkpoint holds non-finite parameters",
+                         "code": EXIT_VALIDATION}
+
     def test_tune_without_runs_is_validation_error(self, workdir, checkpoint, tmp_path):
         code = main(["tune", "--graph", str(workdir / "graph.tsv"),
                      "--checkpoint", str(checkpoint),
@@ -660,7 +674,13 @@ OUT_OF_RANGE = {
 # Out-of-range values added later. They come last among the parameters of
 # test_each_out_of_range_value_is_rejected, so the ids of the ones above
 # keep their numbers.
-LATER_FAULTS = [("pretrain", ("--pretrain.epochs", "0")), ("theory", ("--theory.scales", "[1.0]"))]
+LATER_FAULTS = [("pretrain", ("--pretrain.epochs", "0")), ("theory", ("--theory.scales", "[1.0]")),
+                # One step over the 24 corpus pairs, so that no later step's
+                # loss catches a non-finite update; at 1e200 the L-inf
+                # adversary overflows the features.
+                ("pretrain", ("--pretrain.epsilon", "Infinity", "--pretrain.batch_size", "24")),
+                ("pretrain", ("--pretrain.epsilon", "1e200", "--pretrain.norm_p", "Infinity",
+                              "--pretrain.batch_size", "24"))]
 for _command, _fault in LATER_FAULTS:
     OUT_OF_RANGE[_command].append(_fault)
 

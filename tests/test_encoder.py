@@ -37,7 +37,7 @@ from tagsum.graphs import (
     rwr_sample,
     with_positional_encodings,
 )
-from tagsum.losses import contrastive_loss_tensor
+from tagsum.losses import contrastive_loss_tensor, supervised_contrastive_loss_tensor
 from tagsum.pretrain import AdamW, OptimizerConfig
 from tagsum.synthetic import make_synthetic_tag
 
@@ -171,7 +171,7 @@ class TestKeyMajorAttention:
 class TestTape:
     def test_forward_records_few_op_nodes(self):
         # Each sublayer is one op: input projection, mixing and FFN per
-        # layer, readout.
+        # layer, readout. The parameters are not on the tape.
         store = ParamStore.initialize(TOY_ENCODER, seed=0)
         subs = [random_subgraph(n, TOY_ENCODER, seed=n) for n in (5, 1, 8)]
         out, _ = encode_batch(store, TOY_ENCODER, pad_batch(TOY_ENCODER, subs))
@@ -182,7 +182,25 @@ class TestTape:
                 reached[id(node)] = node
                 stack.extend(node._parents)
         ops = sum(1 for node in reached.values() if node._backward is not None)
-        assert ops <= 25
+        assert ops == 2 + 2 * TOY_ENCODER.layers
+        assert not reached.keys() & {id(t) for t in store.tensors.values()}
+
+    def test_frozen_store_gives_the_trainable_feature_gradient(self):
+        store = ParamStore.initialize(TOY_ENCODER, seed=1)
+        frozen = ParamStore(store.shapes, store.data, trainable=False)
+        batch = pad_batch(TOY_ENCODER, [random_subgraph(n, TOY_ENCODER, seed=n)
+                                        for n in (5, 1, 8, 3)])
+        classes = np.random.default_rng(4).normal(size=(2, TOY_ENCODER.text_dim))
+        classes /= np.linalg.norm(classes, axis=1, keepdims=True)
+        feature_grads = []
+        for s in (frozen, store):
+            z, x = encode_batch(s, TOY_ENCODER, batch)
+            supervised_contrastive_loss_tensor(z, np.array([0, 1, 0, 1]), classes,
+                                               0.1).backward()
+            feature_grads.append(x.grad)
+        assert frozen.grad is None
+        assert np.any(store.grad != 0.0)
+        assert feature_grads[0].tobytes() == feature_grads[1].tobytes()
 
 
 class TestEncodeSubgraphs:

@@ -499,6 +499,16 @@ class TestPretrainLoop:
                      epochs=3, batch_size=4, seed=0, sampler_cfg=SAMPLER)
         assert "pair_keys" in err.value.dump
 
+    def test_nonfinite_gradient_stops_before_any_checkpoint(self, small_task, tmp_path):
+        # The first pass runs at delta = 0, so the first loss is finite; the
+        # L-inf adversary's 1e200 offsets make the averaged gradient NaN.
+        enc, graph, pairs, _, _ = small_task
+        adversary = PerturbationState(epsilon=1e200, norm_p=float("inf"))
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteLossError):
+            pretrain(pairs[:4], {"src": graph}, enc, CFG, None, adversary,
+                     epochs=1, batch_size=4, seed=0, sampler_cfg=SAMPLER, out_dir=tmp_path)
+        assert not list(tmp_path.glob("checkpoint*"))
+
     def test_unknown_graph_id_rejected(self, small_task):
         enc, graph, pairs, _, _ = small_task
         with pytest.raises(ValidationError):

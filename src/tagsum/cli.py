@@ -3,14 +3,17 @@
 One subcommand per pipeline stage; every run writes its resolved
 configuration, a manifest of input-file checksums, and the stage's artifacts
 into the chosen output directory, so identical manifests imply identical
-outputs. Exit codes: 0 success, 2 usage, 3 validation, 4 acceptance-gate
-failure.
+outputs. A command line is ``tagsum COMMAND [--config FILE] [--key value]...``,
+each key a dotted config key or a shorthand in ``ALIASES``; a key given twice
+takes its later value. Exit codes: 0 success, 2 usage, 3 validation (a bad
+value too), 4 acceptance-gate failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import hashlib
 import json
 import sys
@@ -54,12 +57,7 @@ DEFAULT_CONFIG = {
         "checkpoint": None,
         "labels": None,
     },
-    "sampler": {
-        "restart_prob": 0.5,
-        "node_budget": 16,
-        "max_steps": 256,
-        "rng_seed": 0,
-    },
+    "sampler": dataclasses.asdict(SamplerConfig()),
     "encoder": {
         "preset": None,
         "layers": 2,
@@ -72,17 +70,12 @@ DEFAULT_CONFIG = {
         "impl": "hash",
         "table_path": None,
     },
-    "optimizer": {
-        "lr": 1e-5,
-        "weight_decay": 1e-5,
-    },
+    "optimizer": dataclasses.asdict(OptimizerConfig()),
     "pretrain": {
         "epochs": 30,
         "batch_size": 16,
         "temperature": 0.1,
-        "epsilon": 1e-2,
-        "inner_steps": 3,
-        "norm_p": 2.0,
+        **dataclasses.asdict(PerturbationState()),
         "checkpoint_every": 1,
     },
     "corpus": {
@@ -92,11 +85,7 @@ DEFAULT_CONFIG = {
         "retries": 2,
         "max_in_flight": 1,
         "mock": True,
-        "endpoint": "",
-        "model": "",
-        "max_tokens": 500,
-        "timeout": 30.0,
-        "api_key_env": "TAGSUM_API_KEY",
+        **dataclasses.asdict(corpus_mod.LlmClientConfig()),
     },
     "adapt": {
         "test_fraction": 0.2,
@@ -209,14 +198,21 @@ def load_config(config_path: str | None, overrides: list[tuple[str, str]]) -> di
     return config
 
 
+# Shorthand flags, each an alias of one config key.
+ALIASES = {"out": "out_dir", "graph": "paths.graph", "pairs": "paths.pairs",
+           "checkpoint": "paths.checkpoint", "labels": "paths.labels",
+           "zeta": "theory.zeta", "shots": "adapt.shots"}
+
+
 def _parse_overrides(rest: list[str]) -> list[tuple[str, str]]:
+    """(dotted key, raw value) for each ``--key value`` pair, in order."""
     overrides = []
     i = 0
     while i < len(rest):
         token = rest[i]
-        if not token.startswith("--") or i + 1 >= len(rest):
+        if not token.startswith("--") or "=" in token or i + 1 >= len(rest):
             raise UsageError(f"unexpected argument {token!r}; overrides are --dotted.key value")
-        overrides.append((token[2:], rest[i + 1]))
+        overrides.append((ALIASES.get(token[2:], token[2:]), rest[i + 1]))
         i += 2
     return overrides
 
@@ -255,12 +251,6 @@ def _encoder_config(cfg: dict) -> GraphEncoderConfig:
         layers=enc["layers"], hidden=enc["hidden"], heads=enc["heads"],
         positional_dim=enc["positional_dim"], text_dim=enc["text_dim"],
     )
-
-
-def _sampler_config(cfg: dict) -> SamplerConfig:
-    s = cfg["sampler"]
-    return SamplerConfig(restart_prob=s["restart_prob"], node_budget=s["node_budget"],
-                         max_steps=s["max_steps"], rng_seed=s["rng_seed"])
 
 
 def _text_encoder(cfg: dict, text_dim: int):
@@ -309,7 +299,7 @@ def _num_seeds(cfg: dict, graph) -> int:
 
 def cmd_sample(cfg: dict, run: RunDir) -> int:
     graph = _read_graph(cfg, run)
-    sampler = _sampler_config(cfg)
+    sampler = SamplerConfig(**cfg["sampler"])
     schema: GraphMLSchema = DOMAIN_SCHEMAS[cfg["corpus"]["domain"]]
     seeds = range(min(_num_seeds(cfg, graph), graph.num_nodes))
     out = run.path / "subgraphs"
@@ -331,13 +321,12 @@ def cmd_gen_corpus(cfg: dict, run: RunDir) -> int:
     if c["mock"]:
         client = corpus_mod.MockLlmClient()
     else:
-        client = corpus_mod.HttpLlmClient(corpus_mod.LlmClientConfig(
-            endpoint=c["endpoint"], model=c["model"], max_tokens=c["max_tokens"],
-            timeout=c["timeout"], api_key_env=c["api_key_env"],
-        ))
+        fields = dataclasses.fields(corpus_mod.LlmClientConfig)
+        client = corpus_mod.HttpLlmClient(
+            corpus_mod.LlmClientConfig(**{f.name: c[f.name] for f in fields}))
     out_path = run.path / "pairs.jsonl"
     report = corpus_mod.generate_pairs(
-        graph, _sampler_config(cfg), schema, c["domain"], client, out_path,
+        graph, SamplerConfig(**cfg["sampler"]), schema, c["domain"], client, out_path,
         seeds=seeds, retries=c["retries"], truncate_chars=c["truncate_chars"],
         max_in_flight=c["max_in_flight"],
         failure_manifest_path=run.path / "failures.jsonl",
@@ -356,16 +345,14 @@ def cmd_pretrain(cfg: dict, run: RunDir) -> int:
     enc_config = _encoder_config(cfg)
     text_encoder = _text_encoder(cfg, enc_config.text_dim)
     graph = attach_features(graph, text_encoder)
-    pert = None
-    if p["epsilon"] != 0:                      # a negative or NaN epsilon fails the state's check
-        pert = PerturbationState(epsilon=p["epsilon"], norm_p=float(p["norm_p"]),
-                                 inner_steps=p["inner_steps"])
+    # A float norm_p, so that an integer one gives the same checkpoint header.
+    pert = PerturbationState(epsilon=p["epsilon"], norm_p=float(p["norm_p"]),
+                             inner_steps=p["inner_steps"])
     result = pretrain(
         pairs, {graph.graph_id: graph}, text_encoder, enc_config,
-        OptimizerConfig(lr=cfg["optimizer"]["lr"],
-                        weight_decay=cfg["optimizer"]["weight_decay"]),
-        pert, epochs=p["epochs"], batch_size=p["batch_size"], seed=cfg["seed"],
-        temperature=p["temperature"], sampler_cfg=_sampler_config(cfg),
+        OptimizerConfig(**cfg["optimizer"]), pert, epochs=p["epochs"],
+        batch_size=p["batch_size"], seed=cfg["seed"], temperature=p["temperature"],
+        sampler_cfg=SamplerConfig(**cfg["sampler"]),
         out_dir=run.path, checkpoint_every=p["checkpoint_every"],
     )
     print(f"checkpoint: {result.checkpoint_path}  final loss: {result.metrics[-1]['loss']:.6f}")
@@ -391,7 +378,7 @@ def cmd_eval_nc(cfg: dict, run: RunDir) -> int:
     labels = load_label_prompt_asset(
         run.record_input(_require_path(cfg, "labels")), text_encoder)
     result = evaluate_node_classification(
-        store, enc_config, graph, labels, _sampler_config(cfg),
+        store, enc_config, graph, labels, SamplerConfig(**cfg["sampler"]),
         test_fraction=cfg["adapt"]["test_fraction"],
         num_runs=cfg["adapt"]["runs"], base_seed=cfg["seed"],
     )
@@ -409,7 +396,7 @@ def cmd_eval_nc(cfg: dict, run: RunDir) -> int:
 def cmd_eval_lp(cfg: dict, run: RunDir) -> int:
     store, enc_config, _, graph = _load_eval_inputs(cfg, run)
     result = evaluate_link_prediction(
-        store, enc_config, graph, _sampler_config(cfg),
+        store, enc_config, graph, SamplerConfig(**cfg["sampler"]),
         test_fraction=cfg["adapt"]["link_test_fraction"],
         num_runs=cfg["adapt"]["runs"], base_seed=cfg["seed"],
     )
@@ -440,7 +427,7 @@ def cmd_tune(cfg: dict, run: RunDir) -> int:
             store, enc_config, graph, split, labels,
             epochs=a["tune_epochs"], lr=a["tune_lr"],
             weight_decay=a["tune_weight_decay"], temperature=a["temperature"],
-            sampler_cfg=_sampler_config(cfg), text_encoder=text_encoder,
+            sampler_cfg=SamplerConfig(**cfg["sampler"]), text_encoder=text_encoder,
         )
         if not result.towers_frozen:
             raise ValidationError("tower checksums changed during prompt tuning")
@@ -501,17 +488,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="tagsum",
         description="Graph-summary contrastive pretraining and adaptation toolkit",
+        epilog="Every other flag follows the command as --dotted.key value; shorthands: "
+               + ", ".join(f"--{alias} for --{key}" for alias, key in ALIASES.items()),
     )
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--out", help="output directory (overrides config out_dir)")
-    parser.add_argument("--seed", type=int, help="global seed override")
-    parser.add_argument("--graph", help="shorthand for --paths.graph")
-    parser.add_argument("--pairs", help="shorthand for --paths.pairs")
-    parser.add_argument("--checkpoint", help="shorthand for --paths.checkpoint")
-    parser.add_argument("--labels", help="shorthand for --paths.labels")
-    parser.add_argument("--zeta", type=float, help="shorthand for --theory.zeta")
-    parser.add_argument("--shots", type=int, help="shorthand for --adapt.shots")
     return parser
 
 
@@ -526,19 +507,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
     try:
-        overrides = _parse_overrides(rest)
-        config = load_config(args.config, overrides)
-        if args.out:
-            config["out_dir"] = args.out
-        if args.seed is not None:
-            config["seed"] = args.seed
-        for key in ("graph", "pairs", "checkpoint", "labels"):
-            if getattr(args, key) is not None:
-                config["paths"][key] = getattr(args, key)
-        if args.zeta is not None:
-            config["theory"]["zeta"] = args.zeta
-        if args.shots is not None:
-            config["adapt"]["shots"] = args.shots
+        config = load_config(args.config, _parse_overrides(rest))
         if config["seed"] < 0:
             raise ValidationError(f"seed must be >= 0, got {config['seed']}")
         if config["corpus"]["domain"] not in DOMAIN_SCHEMAS:

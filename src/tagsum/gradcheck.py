@@ -222,8 +222,8 @@ def run_grad_check(
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> GradCheckReport:
     """The full gradient suite over a set of small encoder configurations."""
-    if trials < 0 or not step > 0 or not tolerance > 0:
-        raise ValidationError(f"need trials >= 0 and a positive step and tolerance, "
+    if trials < 0 or not 0 < step < np.inf or not 0 < tolerance < np.inf:
+        raise ValidationError(f"need trials >= 0 and a positive finite step and tolerance, "
                               f"got {trials}, {step} and {tolerance}")
     report = GradCheckReport(tolerance=tolerance)
     configs = [

@@ -11,6 +11,7 @@ so that case runs a single pass.
 
 from __future__ import annotations
 
+import functools
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -94,10 +95,10 @@ class OptimizerConfig:
     weight_decay: float = 1e-5
 
     def __post_init__(self):
-        if not self.lr > 0:
-            raise ValidationError(f"lr must be positive, got {self.lr}")
-        if not self.weight_decay >= 0:
-            raise ValidationError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not 0 < self.lr < float("inf"):
+            raise ValidationError(f"lr must be positive and finite, got {self.lr}")
+        if not 0 <= self.weight_decay < float("inf"):
+            raise ValidationError(f"weight_decay must be finite, >= 0, got {self.weight_decay}")
 
 
 class AdamW:
@@ -264,6 +265,7 @@ _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _TRIM_THRESHOLD, _MMAP_THRESHOLD = 64 << 20, 32 << 20
 
 
+@functools.cache
 def _retain_freed_memory() -> None:
     """Keep freed heap memory in the process instead of returning it.
 
@@ -274,8 +276,8 @@ def _retain_freed_memory() -> None:
     pages in again: with nothing long-lived allocated above the tape, a
     toy job took 28,000 minor faults and 65 ms of system time (glibc 2.36
     on a 2-vCPU x86-64 container). The thresholds are set, for the whole
-    process, to the largest values glibc's own adjustment reaches. A no-op
-    where there is no ``mallopt``.
+    process, to the largest values glibc's own adjustment reaches, once (a
+    ``ctypes.CDLL`` lookup leaves a reference cycle). No-op without ``mallopt``.
     """
     import ctypes
 
@@ -361,11 +363,12 @@ def pretrain(
 
             inner = inner_maximize(store, graph_config, subgraphs.take(batch_ids), batch_u,
                                    perturbation, temperature)
-            # One sum flags any NaN or infinity in the gradient buffer
-            # without a temporary the size of the parameters.
-            if not (np.isfinite(inner.first_loss) and np.isfinite(np.sum(store.grad))):
+            optimizer.step()
+            # One sum flags a NaN or infinity that a non-finite gradient or an
+            # overflowing update left in the parameters, with no temporary.
+            if not (np.isfinite(inner.first_loss) and np.isfinite(np.sum(store.data))):
                 raise NonFiniteLossError(
-                    f"non-finite loss or gradient at step {step} (epoch {epoch})",
+                    f"non-finite loss or update at step {step} (epoch {epoch})",
                     dump={
                         "step": step,
                         "epoch": epoch,
@@ -374,8 +377,6 @@ def pretrain(
                         "loss": inner.first_loss,
                     },
                 )
-
-            optimizer.step()
             alignment, uniformity = alignment_uniformity(inner.clean_embeddings, batch_u)
             metrics.append({
                 "step": step,

@@ -53,6 +53,8 @@ class LinearRep:
     threshold: float = 0.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.t, self.weight, self.threshold))):
+            raise ValidationError("t, weight and threshold must be finite")
         if self.t < 0:
             raise ValidationError("t must be >= 0")
         if self.weight == 0:
@@ -140,8 +142,8 @@ class PropositionReport:
 def verify_proposition(zeta: float, n_samples: int = 1_000_000,
                        seed: int = 0) -> PropositionReport:
     """Check that alignment < zeta while the cross-domain risk gap stays 1/4."""
-    if not zeta > 0:
-        raise ValidationError("zeta must be positive")
+    if not 0 < zeta < math.inf:
+        raise ValidationError("zeta must be positive and finite")
     t = math.sqrt(zeta) / 2.0
     rep = LinearRep(t=t)
     alignment = alignment_loss_mc(rep, n_samples, seed=seed)
@@ -271,8 +273,8 @@ def verify_theorem_bound(
     if any(len(c) != 2 for c in classifier_grid):
         raise ValidationError("each classifier is a (weight, threshold) pair")
     scales = tuple(float(m) for m in scales)
-    if len(set(scales)) < 2:            # one domain's risk gap is 0 by construction
-        raise ValidationError(f"need at least two distinct scales, got {list(scales)}")
+    if len(set(scales)) < 2 or not all(map(math.isfinite, scales)):  # one scale: gap 0
+        raise ValidationError(f"need at least two distinct scales, all finite, got {list(scales)}")
     reps = [
         LinearRep(t=float(t), weight=float(w), threshold=float(b))
         for t in rep_grid

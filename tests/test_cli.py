@@ -1,6 +1,7 @@
 """Command-line surface: artifacts, exit codes, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -18,7 +19,7 @@ import tagsum
 from tagsum.adapt import save_label_prompt_asset
 from tagsum.cli import (
     DEFAULT_CONFIG, EXIT_GATE, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, _apply_dotted,
-    COMMANDS, _expected_type, UNSET_TYPES, _merge, build_parser, main,
+    ALIASES, COMMANDS, _expected_type, UNSET_TYPES, _merge, build_parser, main,
 )
 from tagsum.encoder import CHECKPOINT_MAGIC, GraphEncoderConfig, ParamStore, save_checkpoint
 from tagsum.errors import ValidationError
@@ -560,7 +561,71 @@ print(json.dumps("concurrent.futures" in sys.modules))
         assert run_isolated(script, tmp_path) is False
         assert len((tmp_path / "corpus" / "pairs.jsonl").read_text().splitlines()) == 4
 
+# A theory run that takes a fraction of a second.
+QUICK_THEORY = ["theory", "--theory.samples", "10000", "--theory.grid_samples", "10000"]
+# Two values of each shorthand's key.
+ALIAS_VALUES = {"out": ("first", "second"), "graph": ("first.tsv", "second.tsv"),
+                "pairs": ("first.jsonl", "second.jsonl"), "checkpoint": ("first.bin", "second.bin"),
+                "labels": ("first.json", "second.json"), "zeta": ("0.5", "0.25"),
+                "shots": ("3", "4")}
+
+
+class TestShorthands:
+    """Each shorthand flag is an alias of one dotted config key: one parse,
+    one type check and the same in-order precedence."""
+
+    @staticmethod
+    def run_theory(tmp_path, flags):
+        """The resolved config of a quick theory run, read from the out_dir
+        the run resolved to (relative values under ``tmp_path``)."""
+        flags = [str(tmp_path / v) if v in ALIAS_VALUES["out"] else v for v in flags]
+        assert main([*QUICK_THEORY, "--out", str(tmp_path / "first"), *flags]) == EXIT_OK
+        written = [d for d in ("first", "second") if (tmp_path / d).exists()]
+        assert len(written) == 1
+        return (tmp_path / written[0] / "resolved_config.json").read_bytes()
+
+    def test_every_alias_names_a_config_key(self):
+        assert sorted(ALIASES) == sorted(ALIAS_VALUES)
+        assert all(key in CONFIG_KEYS and not isinstance(CONFIG_KEYS[key], dict)
+                   for key in ALIASES.values())
+
+    @pytest.mark.parametrize("alias", sorted(ALIAS_VALUES))
+    def test_shorthand_writes_the_dotted_keys_config(self, tmp_path, alias):
+        value = ALIAS_VALUES[alias][1]
+        shorthand = self.run_theory(tmp_path / "a", [f"--{alias}", value])
+        dotted = self.run_theory(tmp_path / "b", [f"--{ALIASES[alias]}", value])
+        assert shorthand.replace(b"/a/", b"/b/") == dotted
+
+    @pytest.mark.parametrize("dotted_last", [False, True])
+    @pytest.mark.parametrize("alias", sorted(ALIAS_VALUES))
+    def test_later_flag_wins(self, tmp_path, alias, dotted_last):
+        first, second = ALIAS_VALUES[alias]
+        flags = ([f"--{alias}", first, f"--{ALIASES[alias]}", second] if dotted_last else
+                 [f"--{ALIASES[alias]}", first, f"--{alias}", second])
+        config = json.loads(self.run_theory(tmp_path, flags))
+        for key in ALIASES[alias].split("."):
+            config = config[key]
+        expected = str(tmp_path / second) if alias == "out" else second
+        assert config == (json.loads(expected) if alias in ("zeta", "shots") else expected)
+
+    @pytest.mark.parametrize("flag, value, key", [
+        ("--seed", "abc", "seed"), ("--shots", "1.5", "adapt.shots"),
+        ("--zeta", "x", "theory.zeta")])
+    def test_bad_shorthand_value_is_validation_error_naming_its_key(
+            self, tmp_path, capsys, flag, value, key):
+        code = main([*QUICK_THEORY, "--out", str(tmp_path / "out"), flag, value])
+        assert code == EXIT_VALIDATION
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert repr(key) in error["error"]
+
+
 class TestConfigTypes:
+    def test_default_config_is_pinned(self):
+        # The sampler, optimizer, perturbation and client defaults come from
+        # the library configs' fields; the digest pins every default value.
+        digest = hashlib.sha256(json.dumps(DEFAULT_CONFIG, sort_keys=True).encode()).hexdigest()
+        assert digest == "623d66c2d071703d4482ff212b6a01162443d0302bbbc8b255be297d73d2cd8c"
+
     def test_int_accepted_for_float(self):
         merged = _merge(DEFAULT_CONFIG, {"optimizer": {"lr": 1}})
         assert merged["optimizer"]["lr"] == 1
@@ -680,7 +745,21 @@ LATER_FAULTS = [("pretrain", ("--pretrain.epochs", "0")), ("theory", ("--theory.
                 # adversary overflows the features.
                 ("pretrain", ("--pretrain.epsilon", "Infinity", "--pretrain.batch_size", "24")),
                 ("pretrain", ("--pretrain.epsilon", "1e200", "--pretrain.norm_p", "Infinity",
-                              "--pretrain.batch_size", "24"))]
+                              "--pretrain.batch_size", "24")),
+                # An update that overflows the parameters, again in one step.
+                ("pretrain", ("--optimizer.lr", "Infinity", "--pretrain.batch_size", "24")),
+                ("pretrain", ("--optimizer.weight_decay", "Infinity",
+                              "--pretrain.batch_size", "24")),
+                ("pretrain", ("--optimizer.lr", "1e10", "--optimizer.weight_decay", "1e308",
+                              "--pretrain.batch_size", "24")),
+                ("theory", ("--zeta", "Infinity")), ("theory", ("--theory.t_grid", "[Infinity]")),
+                ("theory", ("--theory.scales", "[0,Infinity]")),
+                ("theory", ("--theory.classifier_grid", "[[Infinity,0]]")),
+                ("grad-check", ("--gradcheck.step", "Infinity")),
+                ("grad-check", ("--gradcheck.tolerance", "Infinity")),
+                # At epsilon = 0 the adversary's settings are still checked.
+                ("pretrain", ("--pretrain.epsilon", "0", "--pretrain.inner_steps", "0")),
+                ("pretrain", ("--pretrain.epsilon", "0", "--pretrain.norm_p", "3"))]
 for _command, _fault in LATER_FAULTS:
     OUT_OF_RANGE[_command].append(_fault)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tagsum.encoder import GraphEncoderConfig
+from tagsum.errors import ValidationError
 from tagsum.gradcheck import (
     FUSED_OPS,
     check_gradients,
@@ -60,6 +61,13 @@ class TestNegativeControl:
         a = np.array([1e-12])
         b = np.array([0.0])
         assert relative_error(a, b) < 1e-4
+
+
+class TestArguments:
+    @pytest.mark.parametrize("setting", [{"step": np.inf}, {"tolerance": np.inf}])
+    def test_infinite_step_or_tolerance_rejected(self, setting):
+        with pytest.raises(ValidationError):
+            run_grad_check(trials=0, **setting)
 
 
 class TestFullSuite:

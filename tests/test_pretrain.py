@@ -1,7 +1,9 @@
 """Adversarial inner loop and the outer training loop."""
 
 import csv
+import ctypes
 import dataclasses
+import gc
 import hashlib
 import json
 import math
@@ -39,6 +41,7 @@ from tagsum.pretrain import (
     AdamW,
     OptimizerConfig,
     PerturbationState,
+    _retain_freed_memory,
     ascent_direction,
     inner_maximize,
     materialize_subgraphs,
@@ -309,6 +312,11 @@ class TestAdamW:
             for name in shapes:
                 assert store[name].data.tobytes() == loop[name].tobytes(), (t, name)
 
+    @pytest.mark.parametrize("settings", [{"lr": math.inf}, {"weight_decay": math.inf}])
+    def test_infinite_settings_rejected(self, settings):
+        with pytest.raises(ValidationError):
+            OptimizerConfig(**settings)
+
     def test_metadata_defaults_match_published(self):
         cfg = OptimizerConfig()
         assert cfg.lr == 1e-5
@@ -419,6 +427,23 @@ def test_inner_passes_reuse_freed_memory():
     assert json.loads(done.stdout.decode().splitlines()[-1]) < 30
 
 
+def test_mallopt_lookup_leaves_no_garbage():
+    # A ctypes.CDLL that looks up a function forms a reference cycle; after
+    # the first call no further one may build another.
+    _retain_freed_memory()
+    flags = gc.get_debug()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for _ in range(3):
+            _retain_freed_memory()
+        gc.collect()
+        assert not [o for o in gc.garbage if isinstance(o, ctypes.CDLL)]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+
+
 class TestPretrainLoop:
     def make_run(self, small_task, tmp_path, pert, seed=3, out=None, epochs=2):
         enc, graph, pairs, _, _ = small_task
@@ -506,6 +531,15 @@ class TestPretrainLoop:
         adversary = PerturbationState(epsilon=1e200, norm_p=float("inf"))
         with np.errstate(all="ignore"), pytest.raises(NonFiniteLossError):
             pretrain(pairs[:4], {"src": graph}, enc, CFG, None, adversary,
+                     epochs=1, batch_size=4, seed=0, sampler_cfg=SAMPLER, out_dir=tmp_path)
+        assert not list(tmp_path.glob("checkpoint*"))
+
+    def test_overflowing_update_stops_before_any_checkpoint(self, small_task, tmp_path):
+        # The gradient is finite; lr * weight_decay overflows in the one update.
+        enc, graph, pairs, _, _ = small_task
+        overflow = OptimizerConfig(lr=1e10, weight_decay=1e308)
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteLossError):
+            pretrain(pairs[:4], {"src": graph}, enc, CFG, overflow, None,
                      epochs=1, batch_size=4, seed=0, sampler_cfg=SAMPLER, out_dir=tmp_path)
         assert not list(tmp_path.glob("checkpoint*"))
 

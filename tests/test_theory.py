@@ -95,6 +95,10 @@ class TestProposition:
         assert abs(report.risk_gap - 0.25) < 0.005
         assert report.alignment.value < 0.04
 
+    def test_infinite_zeta_rejected(self):
+        with pytest.raises(ValidationError, match="finite"):
+            verify_proposition(math.inf, n_samples=10_000)
+
     def test_large_zeta(self):
         report = verify_proposition(1.0, n_samples=200_000, seed=1)
         assert report.passed
@@ -153,6 +157,15 @@ class TestTheoremBound:
         # One domain has a risk gap of 0 by construction: the bound would pass vacuously.
         with pytest.raises(ValidationError, match="two distinct scales"):
             verify_theorem_bound([0.5], [(1.0, 0.0)], scales, n_samples=20_000, seed=2)
+
+    @pytest.mark.parametrize("t_grid, classifiers, scales", [
+        ([math.inf], [(1.0, 0.0)], [0.0, 1.0]), ([math.nan], [(1.0, 0.0)], [0.0, 1.0]),
+        ([0.5], [(math.inf, 0.0)], [0.0, 1.0]), ([0.5], [(1.0, -math.inf)], [0.0, 1.0]),
+        ([0.5], [(1.0, 0.0)], [0.0, math.inf]), ([0.5], [(1.0, 0.0)], [0.0, math.nan]),
+    ])
+    def test_non_finite_grid_rejected(self, t_grid, classifiers, scales):
+        with pytest.raises(ValidationError, match="finite"):
+            verify_theorem_bound(t_grid, classifiers, scales, n_samples=20_000, seed=0)
 
     def test_unbounded_region_rejected(self):
         with pytest.raises(ValidationError) as err:
